@@ -20,8 +20,9 @@
 //!   parallel output is byte-identical to sequential.
 //! * [`spec`] — the Scenario API: [`MachineSpec`], the named machine
 //!   profiles (`expected`, `current`, the Section 6 relaxations) and the
-//!   deterministic `key = value` text format behind `--profile`/`--spec`;
-//!   the active spec rides on every [`ExperimentContext`].
+//!   deterministic `key = value` text format behind `--profile`/`--spec`
+//!   (read by [`kv`], the scanner fault plans share); the active spec
+//!   rides on every [`ExperimentContext`].
 //! * [`hash`] / [`cache`] — stable content hashing (FNV-1a 64 +
 //!   SplitMix64) and a deterministic [`LruCache`], the substrate of the
 //!   `qla-serve` result cache: byte-determinism makes content-addressed
@@ -38,6 +39,7 @@ pub mod cache;
 pub mod executor;
 pub mod experiment;
 pub mod hash;
+pub mod kv;
 pub mod machine;
 pub mod montecarlo;
 pub mod spec;

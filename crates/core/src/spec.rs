@@ -33,6 +33,7 @@
 //! or `--spec <file>`.
 
 use crate::builder::MachineBuilder;
+use crate::kv::{KeyValues, KvError};
 use crate::machine::QlaMachine;
 use crate::MachineBuildError;
 use qla_network::InterconnectParams;
@@ -41,7 +42,6 @@ use qla_physical::{TechnologyParams, Time};
 use qla_qec::EccLatencies;
 use qla_report::Scenario;
 use serde::Serialize;
-use std::collections::BTreeMap;
 
 /// Average ballistic-movement distance (cells) accompanying one transversal
 /// two-qubit gate — the paper's block-communication distance `r ≈ 12`, used
@@ -887,429 +887,204 @@ impl MachineSpec {
     /// an equal value — the property the round-trip and golden tests pin.
     #[must_use]
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        let mut line = |key: &str, value: String| {
-            out.push_str(key);
-            out.push_str(" = ");
-            out.push_str(&value);
-            out.push('\n');
-        };
-        line("format_version", "1".to_string());
-        line("name", self.name.clone());
-        line("description", self.description.clone());
-        line("logical_qubits", self.logical_qubits.to_string());
-        line("recursion_level", self.recursion_level.to_string());
-        line("bandwidth", self.bandwidth.to_string());
-        line("ecc", self.ecc.to_string());
-
-        line("tech.cell_size_um", num(self.tech.cell_size_um));
-        let t = &self.tech.times;
-        line("tech.time.single_gate_us", num(t.single_gate.as_micros()));
-        line("tech.time.double_gate_us", num(t.double_gate.as_micros()));
-        line("tech.time.measure_us", num(t.measure.as_micros()));
-        line("tech.time.move_per_um_us", num(t.move_per_um.as_micros()));
-        line(
-            "tech.time.move_per_cell_us",
-            num(t.move_per_cell.as_micros()),
-        );
-        line("tech.time.split_us", num(t.split.as_micros()));
-        line("tech.time.corner_turn_us", num(t.corner_turn.as_micros()));
-        line("tech.time.cool_us", num(t.cool.as_micros()));
-        line(
-            "tech.time.memory_lifetime_us",
-            num(t.memory_lifetime.as_micros()),
-        );
-        let p = &self.tech.failures;
-        line("tech.fail.single_gate", num(p.single_gate));
-        line("tech.fail.double_gate", num(p.double_gate));
-        line("tech.fail.measure", num(p.measure));
-        line("tech.fail.move_per_um", num(p.move_per_um));
-        line("tech.fail.move_per_cell", num(p.move_per_cell));
-        line("tech.fail.memory_per_sec", num(p.memory_per_sec));
-
-        let ic = &self.interconnect;
-        line("interconnect.creation_fidelity", num(ic.creation_fidelity));
-        line("interconnect.per_cell_error", num(ic.per_cell_error));
-        line("interconnect.local_op_error", num(ic.local_op_error));
-        line("interconnect.swap_op_error", num(ic.swap_op_error));
-        line(
-            "interconnect.max_final_infidelity",
-            num(ic.max_final_infidelity),
-        );
-        line(
-            "interconnect.purification_round_time_us",
-            num(ic.purification_round_time.as_micros()),
-        );
-        line(
-            "interconnect.swap_stage_time_us",
-            num(ic.swap_stage_time.as_micros()),
-        );
-
-        let s = &self.sweep;
-        line("sweep.component_rates", num_list(&s.component_rates));
-        line("sweep.threshold_scan_lo", num(s.threshold_scan_lo));
-        line("sweep.threshold_scan_hi", num(s.threshold_scan_hi));
-        line(
-            "sweep.threshold_scan_points",
-            s.threshold_scan_points.to_string(),
-        );
-        line(
-            "sweep.max_recursion_level",
-            s.max_recursion_level.to_string(),
-        );
-        line(
-            "sweep.distance_step_cells",
-            s.distance_step_cells.to_string(),
-        );
-        line("sweep.distance_max_cells", s.distance_max_cells.to_string());
-        line("sweep.bandwidths", int_list(&s.bandwidths));
-        line("sweep.toffoli_counts", int_list(&s.toffoli_counts));
-        let sim = &s.sim;
-        line("sweep.sim.offered_loads", num_list(&sim.offered_loads));
-        line("sweep.sim.burst_factor", num(sim.burst_factor));
-        line("sweep.sim.max_in_flight", sim.max_in_flight.to_string());
-        line(
-            "sweep.sim.ancilla_capacity",
-            sim.ancilla_capacity.to_string(),
-        );
-        line("sweep.sim.warmup_windows", sim.warmup_windows.to_string());
-        line("sweep.sim.measure_windows", sim.measure_windows.to_string());
-        line("sweep.sim.tail_offered_load", num(sim.tail_offered_load));
-        line(
-            "sweep.sim.contended_requests",
-            sim.contended_requests.to_string(),
-        );
-        let trace = &s.trace;
-        line("sweep.trace.adder_bits", trace.adder_bits.to_string());
-        line("sweep.trace.modexp_bits", trace.modexp_bits.to_string());
-        line(
-            "sweep.trace.modexp_multiplier_calls",
-            trace.modexp_multiplier_calls.to_string(),
-        );
-        line("sweep.trace.random_qubits", trace.random_qubits.to_string());
-        line("sweep.trace.random_ops", trace.random_ops.to_string());
-        line(
-            "sweep.trace.scaling_adder_bits",
-            int_list(&trace.scaling_adder_bits),
-        );
-        line(
-            "sweep.trace.scaling_modexp_bits",
-            int_list(&trace.scaling_modexp_bits),
-        );
-        let fault = &s.fault;
-        line("sweep.fault.severities", num_list(&fault.severities));
-        line(
-            "sweep.fault.degraded_edge_fraction",
-            num(fault.degraded_edge_fraction),
-        );
-        line("sweep.fault.onset_windows", fault.onset_windows.to_string());
-        line(
-            "sweep.fault.duration_windows",
-            fault.duration_windows.to_string(),
-        );
-        line("sweep.fault.factory_loss", num(fault.factory_loss));
-        line(
-            "sweep.fault.traffic_offered_load",
-            num(fault.traffic_offered_load),
-        );
-        line(
-            "sweep.fault.matrix_offered_load",
-            num(fault.matrix_offered_load),
-        );
-        line("sweep.fault.hotspot_fraction", num(fault.hotspot_fraction));
-        line("sweep.fault.tenants", fault.tenants.to_string());
-        line("sweep.fault.tenant_quota", fault.tenant_quota.to_string());
-        line("sweep.fault.quota_skews", num_list(&fault.quota_skews));
-        let obs = &s.obs;
-        line("sweep.obs.detail", obs.detail.token().to_string());
-        line("sweep.obs.sample_every", obs.sample_every.to_string());
+        // Room for a built-in profile (~2.3 KB): one allocation per call.
+        let mut out = String::with_capacity(4096);
+        VERSION.render_line(VERSION_KEY, &mut out);
+        render_fields(self, &mut out);
         out
     }
 
-    /// Parse a spec from the text format.
+    /// Parse a spec from the `key = value` text format of [`crate::kv`].
     ///
-    /// Accepts `key = value` lines, blank lines, and `#` comments (to end
-    /// of line). Every key is required exactly once; unknown keys,
-    /// duplicates, omissions, and malformed values are all loud errors —
-    /// a typo in a scenario file must never silently fall back to a
-    /// default.
+    /// Every key is required exactly once; unknown keys, duplicates,
+    /// omissions, and malformed values are all loud errors — a typo in a
+    /// scenario file must never silently fall back to a default.
     ///
     /// # Errors
     /// Returns the first problem found as a [`SpecError`].
     pub fn parse(text: &str) -> Result<MachineSpec, SpecError> {
-        let mut fields = Fields::scan(text)?;
-
-        let version = fields.take("format_version")?;
-        if version.value != "1" {
+        let mut fields = KeyValues::scan(text)?;
+        let version = fields.take(VERSION_KEY)?;
+        if version != VERSION.to_string() {
             return Err(SpecError::UnsupportedVersion {
-                found: version.value,
+                found: version.to_owned(),
             });
         }
-
-        let spec = MachineSpec {
-            name: fields.take("name")?.value,
-            description: fields.take("description")?.value,
-            logical_qubits: fields.usize("logical_qubits")?,
-            recursion_level: fields.u32("recursion_level")?,
-            bandwidth: fields.usize("bandwidth")?,
-            ecc: fields.ecc("ecc")?,
-            tech: TechnologyParams {
-                cell_size_um: fields.f64("tech.cell_size_um")?,
-                times: qla_physical::OperationTimes {
-                    single_gate: fields.time_us("tech.time.single_gate_us")?,
-                    double_gate: fields.time_us("tech.time.double_gate_us")?,
-                    measure: fields.time_us("tech.time.measure_us")?,
-                    move_per_um: fields.time_us("tech.time.move_per_um_us")?,
-                    move_per_cell: fields.time_us("tech.time.move_per_cell_us")?,
-                    split: fields.time_us("tech.time.split_us")?,
-                    corner_turn: fields.time_us("tech.time.corner_turn_us")?,
-                    cool: fields.time_us("tech.time.cool_us")?,
-                    memory_lifetime: fields.time_us("tech.time.memory_lifetime_us")?,
-                },
-                failures: qla_physical::FailureRates {
-                    single_gate: fields.f64("tech.fail.single_gate")?,
-                    double_gate: fields.f64("tech.fail.double_gate")?,
-                    measure: fields.f64("tech.fail.measure")?,
-                    move_per_um: fields.f64("tech.fail.move_per_um")?,
-                    move_per_cell: fields.f64("tech.fail.move_per_cell")?,
-                    memory_per_sec: fields.f64("tech.fail.memory_per_sec")?,
-                },
-            },
-            interconnect: InterconnectSpec {
-                creation_fidelity: fields.f64("interconnect.creation_fidelity")?,
-                per_cell_error: fields.f64("interconnect.per_cell_error")?,
-                local_op_error: fields.f64("interconnect.local_op_error")?,
-                swap_op_error: fields.f64("interconnect.swap_op_error")?,
-                max_final_infidelity: fields.f64("interconnect.max_final_infidelity")?,
-                purification_round_time: fields
-                    .time_us("interconnect.purification_round_time_us")?,
-                swap_stage_time: fields.time_us("interconnect.swap_stage_time_us")?,
-            },
-            sweep: SweepSpec {
-                component_rates: fields.f64_list("sweep.component_rates")?,
-                threshold_scan_lo: fields.f64("sweep.threshold_scan_lo")?,
-                threshold_scan_hi: fields.f64("sweep.threshold_scan_hi")?,
-                threshold_scan_points: fields.usize("sweep.threshold_scan_points")?,
-                max_recursion_level: fields.u32("sweep.max_recursion_level")?,
-                distance_step_cells: fields.usize("sweep.distance_step_cells")?,
-                distance_max_cells: fields.usize("sweep.distance_max_cells")?,
-                bandwidths: fields.usize_list("sweep.bandwidths")?,
-                toffoli_counts: fields.usize_list("sweep.toffoli_counts")?,
-                sim: SimSpec {
-                    offered_loads: fields.f64_list("sweep.sim.offered_loads")?,
-                    burst_factor: fields.f64("sweep.sim.burst_factor")?,
-                    max_in_flight: fields.usize("sweep.sim.max_in_flight")?,
-                    ancilla_capacity: fields.usize("sweep.sim.ancilla_capacity")?,
-                    warmup_windows: fields.usize("sweep.sim.warmup_windows")?,
-                    measure_windows: fields.usize("sweep.sim.measure_windows")?,
-                    tail_offered_load: fields.f64("sweep.sim.tail_offered_load")?,
-                    contended_requests: fields.usize("sweep.sim.contended_requests")?,
-                },
-                trace: TraceSpec {
-                    adder_bits: fields.usize("sweep.trace.adder_bits")?,
-                    modexp_bits: fields.usize("sweep.trace.modexp_bits")?,
-                    modexp_multiplier_calls: fields.usize("sweep.trace.modexp_multiplier_calls")?,
-                    random_qubits: fields.usize("sweep.trace.random_qubits")?,
-                    random_ops: fields.usize("sweep.trace.random_ops")?,
-                    scaling_adder_bits: fields.usize_list("sweep.trace.scaling_adder_bits")?,
-                    scaling_modexp_bits: fields.usize_list("sweep.trace.scaling_modexp_bits")?,
-                },
-                fault: FaultSpec {
-                    severities: fields.f64_list("sweep.fault.severities")?,
-                    degraded_edge_fraction: fields.f64("sweep.fault.degraded_edge_fraction")?,
-                    onset_windows: fields.usize("sweep.fault.onset_windows")?,
-                    duration_windows: fields.usize("sweep.fault.duration_windows")?,
-                    factory_loss: fields.f64("sweep.fault.factory_loss")?,
-                    traffic_offered_load: fields.f64("sweep.fault.traffic_offered_load")?,
-                    matrix_offered_load: fields.f64("sweep.fault.matrix_offered_load")?,
-                    hotspot_fraction: fields.f64("sweep.fault.hotspot_fraction")?,
-                    tenants: fields.usize("sweep.fault.tenants")?,
-                    tenant_quota: fields.usize("sweep.fault.tenant_quota")?,
-                    quota_skews: fields.f64_list("sweep.fault.quota_skews")?,
-                },
-                obs: ObsSpec {
-                    detail: fields.obs_detail("sweep.obs.detail")?,
-                    sample_every: fields.u32("sweep.obs.sample_every")?,
-                },
-            },
-        };
-
+        // `parse_fields` assigns every field, so the starting profile
+        // does not show through.
+        let mut spec = MachineSpec::expected();
+        parse_fields(&mut spec, &mut fields)?;
         fields.finish()?;
         Ok(spec)
     }
 }
 
-/// Shortest round-trip rendering of a number (Rust's `Display` for `f64`
-/// never uses exponent notation and always parses back to the same bits).
-fn num(v: f64) -> String {
-    format!("{v}")
-}
+const VERSION_KEY: &str = "format_version";
+const VERSION: u32 = 1;
 
-fn num_list(values: &[f64]) -> String {
-    values
-        .iter()
-        .map(|v| num(*v))
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-fn int_list(values: &[usize]) -> String {
-    values
-        .iter()
-        .map(ToString::to_string)
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-/// One `key = value` occurrence with its line number (for error messages).
-struct Field {
-    line: usize,
-    value: String,
-}
-
-/// The scanned key/value table with loud-take semantics.
-struct Fields {
-    map: BTreeMap<String, Field>,
-}
-
-impl Fields {
-    fn scan(text: &str) -> Result<Fields, SpecError> {
-        let mut map: BTreeMap<String, Field> = BTreeMap::new();
-        for (index, raw) in text.lines().enumerate() {
-            let line = index + 1;
-            let content = raw.split('#').next().unwrap_or("").trim();
-            if content.is_empty() {
-                continue;
-            }
-            let Some((key, value)) = content.split_once('=') else {
-                return Err(SpecError::Syntax {
-                    line,
-                    message: format!("expected `key = value`, got {content:?}"),
-                });
-            };
-            let key = key.trim().to_string();
-            let value = value.trim().to_string();
-            if key.is_empty() {
-                return Err(SpecError::Syntax {
-                    line,
-                    message: "missing key before '='".to_string(),
-                });
-            }
-            if let Some(previous) = map.get(&key) {
-                return Err(SpecError::DuplicateKey {
-                    line,
-                    key,
-                    first_line: previous.line,
-                });
-            }
-            map.insert(key, Field { line, value });
+/// The spec's keys in render order, each bound to the field it reads and
+/// writes — the one place a key is named. Expands to `render_fields` and
+/// `parse_fields`.
+macro_rules! spec_fields {
+    ($($key:literal => $($field:ident).+,)+) => {
+        fn render_fields(spec: &MachineSpec, out: &mut String) {
+            $(SpecValue::render_line(&spec.$($field).+, $key, out);)+
         }
-        Ok(Fields { map })
-    }
 
-    fn take(&mut self, key: &'static str) -> Result<Field, SpecError> {
-        self.map.remove(key).ok_or(SpecError::MissingKey { key })
-    }
-
-    fn f64(&mut self, key: &'static str) -> Result<f64, SpecError> {
-        let field = self.take(key)?;
-        parse_f64(key, &field.value)
-    }
-
-    fn time_us(&mut self, key: &'static str) -> Result<Time, SpecError> {
-        Ok(Time::from_micros(self.f64(key)?))
-    }
-
-    fn usize(&mut self, key: &'static str) -> Result<usize, SpecError> {
-        let field = self.take(key)?;
-        field
-            .value
-            .parse::<usize>()
-            .map_err(|_| SpecError::BadValue {
-                key: key.to_string(),
-                value: field.value,
-                expected: "a non-negative integer",
-            })
-    }
-
-    fn u32(&mut self, key: &'static str) -> Result<u32, SpecError> {
-        let field = self.take(key)?;
-        field.value.parse::<u32>().map_err(|_| SpecError::BadValue {
-            key: key.to_string(),
-            value: field.value,
-            expected: "a non-negative integer",
-        })
-    }
-
-    fn obs_detail(&mut self, key: &'static str) -> Result<ObsDetail, SpecError> {
-        let field = self.take(key)?;
-        ObsDetail::from_token(&field.value).ok_or_else(|| SpecError::BadValue {
-            key: key.to_string(),
-            value: field.value,
-            expected: "`full` or `light`",
-        })
-    }
-
-    fn ecc(&mut self, key: &'static str) -> Result<EccMode, SpecError> {
-        let field = self.take(key)?;
-        match field.value.as_str() {
-            "paper" => Ok(EccMode::Paper),
-            "structural" => Ok(EccMode::Structural),
-            _ => Err(SpecError::BadValue {
-                key: key.to_string(),
-                value: field.value,
-                expected: "`paper` or `structural`",
-            }),
+        fn parse_fields(
+            spec: &mut MachineSpec,
+            fields: &mut KeyValues<'_>,
+        ) -> Result<(), KvError<'static>> {
+            $(spec.$($field).+ = SpecValue::take(fields, $key)?;)+
+            Ok(())
         }
+    };
+}
+
+spec_fields! {
+    "name" => name,
+    "description" => description,
+    "logical_qubits" => logical_qubits,
+    "recursion_level" => recursion_level,
+    "bandwidth" => bandwidth,
+    "ecc" => ecc,
+    "tech.cell_size_um" => tech.cell_size_um,
+    "tech.time.single_gate_us" => tech.times.single_gate,
+    "tech.time.double_gate_us" => tech.times.double_gate,
+    "tech.time.measure_us" => tech.times.measure,
+    "tech.time.move_per_um_us" => tech.times.move_per_um,
+    "tech.time.move_per_cell_us" => tech.times.move_per_cell,
+    "tech.time.split_us" => tech.times.split,
+    "tech.time.corner_turn_us" => tech.times.corner_turn,
+    "tech.time.cool_us" => tech.times.cool,
+    "tech.time.memory_lifetime_us" => tech.times.memory_lifetime,
+    "tech.fail.single_gate" => tech.failures.single_gate,
+    "tech.fail.double_gate" => tech.failures.double_gate,
+    "tech.fail.measure" => tech.failures.measure,
+    "tech.fail.move_per_um" => tech.failures.move_per_um,
+    "tech.fail.move_per_cell" => tech.failures.move_per_cell,
+    "tech.fail.memory_per_sec" => tech.failures.memory_per_sec,
+    "interconnect.creation_fidelity" => interconnect.creation_fidelity,
+    "interconnect.per_cell_error" => interconnect.per_cell_error,
+    "interconnect.local_op_error" => interconnect.local_op_error,
+    "interconnect.swap_op_error" => interconnect.swap_op_error,
+    "interconnect.max_final_infidelity" => interconnect.max_final_infidelity,
+    "interconnect.purification_round_time_us" => interconnect.purification_round_time,
+    "interconnect.swap_stage_time_us" => interconnect.swap_stage_time,
+    "sweep.component_rates" => sweep.component_rates,
+    "sweep.threshold_scan_lo" => sweep.threshold_scan_lo,
+    "sweep.threshold_scan_hi" => sweep.threshold_scan_hi,
+    "sweep.threshold_scan_points" => sweep.threshold_scan_points,
+    "sweep.max_recursion_level" => sweep.max_recursion_level,
+    "sweep.distance_step_cells" => sweep.distance_step_cells,
+    "sweep.distance_max_cells" => sweep.distance_max_cells,
+    "sweep.bandwidths" => sweep.bandwidths,
+    "sweep.toffoli_counts" => sweep.toffoli_counts,
+    "sweep.sim.offered_loads" => sweep.sim.offered_loads,
+    "sweep.sim.burst_factor" => sweep.sim.burst_factor,
+    "sweep.sim.max_in_flight" => sweep.sim.max_in_flight,
+    "sweep.sim.ancilla_capacity" => sweep.sim.ancilla_capacity,
+    "sweep.sim.warmup_windows" => sweep.sim.warmup_windows,
+    "sweep.sim.measure_windows" => sweep.sim.measure_windows,
+    "sweep.sim.tail_offered_load" => sweep.sim.tail_offered_load,
+    "sweep.sim.contended_requests" => sweep.sim.contended_requests,
+    "sweep.trace.adder_bits" => sweep.trace.adder_bits,
+    "sweep.trace.modexp_bits" => sweep.trace.modexp_bits,
+    "sweep.trace.modexp_multiplier_calls" => sweep.trace.modexp_multiplier_calls,
+    "sweep.trace.random_qubits" => sweep.trace.random_qubits,
+    "sweep.trace.random_ops" => sweep.trace.random_ops,
+    "sweep.trace.scaling_adder_bits" => sweep.trace.scaling_adder_bits,
+    "sweep.trace.scaling_modexp_bits" => sweep.trace.scaling_modexp_bits,
+    "sweep.fault.severities" => sweep.fault.severities,
+    "sweep.fault.degraded_edge_fraction" => sweep.fault.degraded_edge_fraction,
+    "sweep.fault.onset_windows" => sweep.fault.onset_windows,
+    "sweep.fault.duration_windows" => sweep.fault.duration_windows,
+    "sweep.fault.factory_loss" => sweep.fault.factory_loss,
+    "sweep.fault.traffic_offered_load" => sweep.fault.traffic_offered_load,
+    "sweep.fault.matrix_offered_load" => sweep.fault.matrix_offered_load,
+    "sweep.fault.hotspot_fraction" => sweep.fault.hotspot_fraction,
+    "sweep.fault.tenants" => sweep.fault.tenants,
+    "sweep.fault.tenant_quota" => sweep.fault.tenant_quota,
+    "sweep.fault.quota_skews" => sweep.fault.quota_skews,
+    "sweep.obs.detail" => sweep.obs.detail,
+    "sweep.obs.sample_every" => sweep.obs.sample_every,
+}
+
+/// A field type of the spec text format.
+trait SpecValue: Sized {
+    /// What a malformed value is reported as expecting.
+    const EXPECTED: &'static str;
+    fn parse(text: &str) -> Option<Self>;
+    fn render(&self, out: &mut String);
+
+    fn render_line(&self, key: &str, out: &mut String) {
+        out.push_str(key);
+        out.push_str(" = ");
+        self.render(out);
+        out.push('\n');
     }
 
-    fn f64_list(&mut self, key: &'static str) -> Result<Vec<f64>, SpecError> {
-        let field = self.take(key)?;
-        field
-            .value
-            .split(',')
-            .map(|item| parse_f64(key, item.trim()))
-            .collect()
-    }
-
-    fn usize_list(&mut self, key: &'static str) -> Result<Vec<usize>, SpecError> {
-        let field = self.take(key)?;
-        field
-            .value
-            .split(',')
-            .map(|item| {
-                item.trim()
-                    .parse::<usize>()
-                    .map_err(|_| SpecError::BadValue {
-                        key: key.to_string(),
-                        value: item.trim().to_string(),
-                        expected: "a comma-separated list of non-negative integers",
-                    })
-            })
-            .collect()
-    }
-
-    /// Error on anything left over: an unknown key must never be silently
-    /// ignored (it is almost always a typo of a real one).
-    fn finish(self) -> Result<(), SpecError> {
-        match self.map.into_iter().next() {
-            None => Ok(()),
-            Some((key, field)) => Err(SpecError::UnknownKey {
-                line: field.line,
-                key,
-            }),
-        }
+    fn take(fields: &mut KeyValues<'_>, key: &'static str) -> Result<Self, KvError<'static>> {
+        fields.value(key, Self::EXPECTED, Self::parse)
     }
 }
 
-fn parse_f64(key: &str, value: &str) -> Result<f64, SpecError> {
-    match value.parse::<f64>() {
-        Ok(v) if v.is_finite() => Ok(v),
-        _ => Err(SpecError::BadValue {
-            key: key.to_string(),
-            value: value.to_string(),
-            expected: "a finite number",
-        }),
+/// Implements [`SpecValue`] for each `type => expected, parse, render;`.
+macro_rules! spec_values {
+    ($($t:ty => $expected:expr, $parse:expr, $render:expr;)+) => {$(
+        impl SpecValue for $t {
+            const EXPECTED: &'static str = $expected;
+            fn parse(text: &str) -> Option<Self> {
+                $parse(text)
+            }
+            fn render(&self, out: &mut String) {
+                $render(self, out);
+            }
+        }
+    )+};
+}
+
+// Rust's `Display` for `f64` is the shortest text that parses back to the
+// same bits, and never uses exponent notation. Times are written in
+// microseconds.
+spec_values! {
+    String => "a line of text", |text: &str| Some(text.to_owned()), push_display;
+    usize => "a non-negative integer", |text: &str| text.parse().ok(), push_display;
+    u32 => "a non-negative integer", |text: &str| text.parse().ok(), push_display;
+    f64 => "a finite number",
+        |text: &str| text.parse().ok().filter(|v: &f64| v.is_finite()), push_display;
+    Time => f64::EXPECTED,
+        |text| f64::parse(text).map(Time::from_micros),
+        |time: &Time, out| push_display(&time.as_micros(), out);
+    EccMode => "`paper` or `structural`",
+        |text| match text {
+            "paper" => Some(EccMode::Paper),
+            "structural" => Some(EccMode::Structural),
+            _ => None,
+        },
+        push_display;
+    ObsDetail => "`full` or `light`",
+        ObsDetail::from_token,
+        |detail: &ObsDetail, out: &mut String| out.push_str(detail.token());
+    Vec<f64> => "a comma-separated list of finite numbers", parse_list, render_list;
+    Vec<usize> => "a comma-separated list of non-negative integers", parse_list, render_list;
+}
+
+fn push_display(value: &impl core::fmt::Display, out: &mut String) {
+    use core::fmt::Write;
+    write!(out, "{value}").expect("writing to a String cannot fail");
+}
+
+fn parse_list<T: SpecValue>(text: &str) -> Option<Vec<T>> {
+    text.split(',').map(|item| T::parse(item.trim())).collect()
+}
+
+fn render_list<T: SpecValue>(items: &[T], out: &mut String) {
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        item.render(out);
     }
 }
 
@@ -1407,6 +1182,35 @@ impl std::error::Error for SpecError {}
 impl From<MachineBuildError> for SpecError {
     fn from(e: MachineBuildError) -> Self {
         SpecError::Machine(e)
+    }
+}
+
+impl From<KvError<'static>> for SpecError {
+    fn from(e: KvError<'static>) -> Self {
+        match e {
+            KvError::Syntax { line, message } => SpecError::Syntax { line, message },
+            KvError::DuplicateKey {
+                line,
+                key,
+                first_line,
+            } => SpecError::DuplicateKey {
+                line,
+                key,
+                first_line,
+            },
+            KvError::MissingKey { key } => SpecError::MissingKey { key },
+            KvError::BadValue {
+                key,
+                value,
+                expected,
+                ..
+            } => SpecError::BadValue {
+                key: key.to_owned(),
+                value,
+                expected,
+            },
+            KvError::UnknownKey { line, key } => SpecError::UnknownKey { line, key },
+        }
     }
 }
 

@@ -11,7 +11,7 @@
 //! UPDATE_GOLDEN=1 cargo test -p qla-core  --test spec_roundtrip
 //! ```
 
-use qla_core::{EccMode, MachineSpec, BUILTIN_PROFILES};
+use qla_core::{EccMode, MachineSpec, SpecError, BUILTIN_PROFILES};
 use qla_obs::ObsDetail;
 use rand::Rng;
 use rand::SeedableRng;
@@ -121,4 +121,56 @@ fn randomized_specs_round_trip_exactly() {
             .unwrap_or_else(|e| panic!("case {case} failed to parse: {e}\n{rendered}"));
         assert_eq!(parsed, spec, "case {case} did not round-trip");
     }
+}
+
+/// Every key is wired to its own field: changing one key's value in the
+/// text changes that key's line, and only that line, after a
+/// parse → render round trip. A getter or setter bound to the wrong field
+/// moves a different line, or none.
+#[test]
+fn each_key_reads_and_writes_only_its_own_field() {
+    let base = MachineSpec::expected().render();
+    let lines: Vec<&str> = base.lines().collect();
+    for (index, line) in lines.iter().enumerate().skip(1) {
+        let (key, value) = line
+            .split_once(" = ")
+            .expect("rendered lines are key = value");
+        let perturbed = match value {
+            "paper" => "structural".to_owned(),
+            "full" => "light".to_owned(),
+            // Integers and floats alike: + 1 stays in the field's type.
+            v if v.parse::<f64>().is_ok() => format!("{}", v.parse::<f64>().unwrap() + 1.0),
+            // Lists gain an entry; free text gains a suffix.
+            v => format!("{v}, 7"),
+        };
+        let mut text = lines.clone();
+        let replaced = format!("{key} = {perturbed}");
+        text[index] = &replaced;
+        let spec = MachineSpec::parse(&(text.join("\n") + "\n"))
+            .unwrap_or_else(|e| panic!("{key}: perturbed spec failed to parse: {e}"));
+        let rendered = spec.render();
+        let changed: Vec<usize> = rendered
+            .lines()
+            .zip(&lines)
+            .enumerate()
+            .filter(|(_, (after, before))| after != *before)
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(changed, [index], "{key}: perturbing it moved other lines");
+        assert_eq!(rendered.lines().count(), lines.len());
+    }
+}
+
+/// Of several unknown keys, the error names the one on the lowest line.
+#[test]
+fn the_unknown_key_on_the_lowest_line_is_reported() {
+    let text = format!("{}zulu = 1\nalpha = 2\n", MachineSpec::expected().render());
+    let line = text.lines().count() - 1;
+    assert_eq!(
+        MachineSpec::parse(&text),
+        Err(SpecError::UnknownKey {
+            line,
+            key: "zulu".to_owned()
+        })
+    );
 }

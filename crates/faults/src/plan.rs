@@ -14,11 +14,11 @@
 //! malformed input to a typed, line-anchored [`FaultError`] — a typo in a
 //! scenario file must never silently weaken the fault it describes.
 
+use qla_core::kv::{KeyValues, KvError};
 use qla_core::FaultSpec;
 use qla_sched::{Edge, Mesh};
 use qla_sim::{ChannelFault, FactoryFault, FaultTimeline, SimConfig, SimTime};
 use serde::Serialize;
-use std::collections::HashMap;
 
 /// The version this build renders and reads.
 pub const FORMAT_VERSION: u32 = 1;
@@ -350,86 +350,71 @@ impl FaultPlan {
     /// property tests pin.
     #[must_use]
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        let mut line = |key: &str, value: String| {
-            out.push_str(key);
-            out.push_str(" = ");
-            out.push_str(&value);
-            out.push('\n');
-        };
-        line("format_version", FORMAT_VERSION.to_string());
-        line("name", self.name.clone());
-        line("channel_faults", self.channel_faults.len().to_string());
-        for (i, fault) in self.channel_faults.iter().enumerate() {
-            line(
-                &format!("channel_fault.{i}"),
-                format!(
-                    "{} {} {} {} {}",
-                    fault.a, fault.b, fault.channels, fault.onset_windows, fault.duration_windows
-                ),
+        let mut out = format!(
+            "format_version = {FORMAT_VERSION}\nname = {}\nchannel_faults = {}\n",
+            self.name,
+            self.channel_faults.len()
+        );
+        for (i, f) in self.channel_faults.iter().enumerate() {
+            out += &format!(
+                "channel_fault.{i} = {} {} {} {} {}\n",
+                f.a, f.b, f.channels, f.onset_windows, f.duration_windows
             );
         }
-        line("factory_faults", self.factory_faults.len().to_string());
-        for (i, fault) in self.factory_faults.iter().enumerate() {
-            line(
-                &format!("factory_fault.{i}"),
-                format!(
-                    "{} {} {}",
-                    fault.capacity, fault.onset_windows, fault.duration_windows
-                ),
+        out += &format!("factory_faults = {}\n", self.factory_faults.len());
+        for (i, f) in self.factory_faults.iter().enumerate() {
+            out += &format!(
+                "factory_fault.{i} = {} {} {}\n",
+                f.capacity, f.onset_windows, f.duration_windows
             );
         }
         out
     }
 
-    /// Parse a plan from the text format.
-    ///
-    /// Accepts `key = value` lines, blank lines, and `#` comments (to end
-    /// of line). Every key is required exactly once; unknown keys,
+    /// Parse a plan from the `key = value` text format of
+    /// [`qla_core::kv`]. Every key is required exactly once; unknown keys,
     /// duplicates, omissions, and malformed values are all loud, typed,
     /// line-anchored errors.
     ///
     /// # Errors
     /// Returns the first problem found as a [`FaultError`].
     pub fn parse(text: &str) -> Result<FaultPlan, FaultError> {
-        let mut fields = PlanFields::scan(text)?;
+        let mut fields = KeyValues::scan(text)?;
         let version = fields.take("format_version")?;
-        if version.value != FORMAT_VERSION.to_string() {
+        if version != FORMAT_VERSION.to_string() {
             return Err(FaultError::UnsupportedVersion {
-                found: version.value,
+                found: version.to_owned(),
             });
         }
-        let name = fields.take("name")?.value;
-        let channel_count = fields.count("channel_faults")?;
-        let mut channel_faults = Vec::with_capacity(channel_count);
-        for i in 0..channel_count {
-            let key = format!("channel_fault.{i}");
-            let parts = fields.ints(
-                &key,
-                5,
+        let name = fields.take("name")?.to_owned();
+        // The counts come from the file, so nothing is preallocated from
+        // them: a huge count fails at its first missing fault line.
+        let mut channel_faults = Vec::new();
+        for i in 0..count(&mut fields, "channel_faults")? {
+            let [a, b, channels, onset_windows, duration_windows] = fields.value(
+                &format!("channel_fault.{i}"),
                 "five space-separated integers: a b channels onset_windows duration_windows",
+                ints::<5>,
             )?;
             channel_faults.push(ChannelFaultSpec {
-                a: parts[0],
-                b: parts[1],
-                channels: parts[2],
-                onset_windows: parts[3],
-                duration_windows: parts[4],
+                a,
+                b,
+                channels,
+                onset_windows,
+                duration_windows,
             });
         }
-        let factory_count = fields.count("factory_faults")?;
-        let mut factory_faults = Vec::with_capacity(factory_count);
-        for i in 0..factory_count {
-            let key = format!("factory_fault.{i}");
-            let parts = fields.ints(
-                &key,
-                3,
+        let mut factory_faults = Vec::new();
+        for i in 0..count(&mut fields, "factory_faults")? {
+            let [capacity, onset_windows, duration_windows] = fields.value(
+                &format!("factory_fault.{i}"),
                 "three space-separated integers: capacity onset_windows duration_windows",
+                ints::<3>,
             )?;
             factory_faults.push(FactoryFaultSpec {
-                capacity: parts[0],
-                onset_windows: parts[1],
-                duration_windows: parts[2],
+                capacity,
+                onset_windows,
+                duration_windows,
             });
         }
         fields.finish()?;
@@ -443,106 +428,48 @@ impl FaultPlan {
     }
 }
 
-/// One `key = value` occurrence with its line number.
-struct PlanField {
-    line: usize,
-    value: String,
+fn count(fields: &mut KeyValues<'_>, key: &'static str) -> Result<usize, FaultError> {
+    Ok(fields.value(key, "a non-negative integer count", |v| v.parse().ok())?)
 }
 
-/// The scanned key/value table with loud-take semantics (the fault-plan
-/// twin of `qla-core`'s spec scanner; keys here are dynamic —
-/// `channel_fault.3` — so they are owned strings).
-struct PlanFields {
-    fields: HashMap<String, PlanField>,
+/// Exactly `N` space-separated non-negative integers.
+fn ints<const N: usize>(text: &str) -> Option<[usize; N]> {
+    let parts: Vec<usize> = text
+        .split_whitespace()
+        .map(|part| part.parse().ok())
+        .collect::<Option<_>>()?;
+    parts.try_into().ok()
 }
 
-impl PlanFields {
-    fn scan(text: &str) -> Result<Self, FaultError> {
-        let mut fields: HashMap<String, PlanField> = HashMap::new();
-        for (index, raw) in text.lines().enumerate() {
-            let line = index + 1;
-            let content = raw.split('#').next().unwrap_or("").trim();
-            if content.is_empty() {
-                continue;
-            }
-            let Some((key, value)) = content.split_once('=') else {
-                return Err(FaultError::Syntax {
-                    line,
-                    message: format!("expected 'key = value', got '{content}'"),
-                });
-            };
-            let key = key.trim().to_owned();
-            let value = value.trim().to_owned();
-            if key.is_empty() {
-                return Err(FaultError::Syntax {
-                    line,
-                    message: "empty key before '='".to_owned(),
-                });
-            }
-            if let Some(first) = fields.get(&key) {
-                return Err(FaultError::DuplicateKey {
-                    line,
-                    key,
-                    first_line: first.line,
-                });
-            }
-            fields.insert(key, PlanField { line, value });
-        }
-        Ok(PlanFields { fields })
-    }
-
-    fn take(&mut self, key: &str) -> Result<PlanField, FaultError> {
-        self.fields
-            .remove(key)
-            .ok_or_else(|| FaultError::MissingKey {
-                key: key.to_owned(),
-            })
-    }
-
-    fn count(&mut self, key: &str) -> Result<usize, FaultError> {
-        let field = self.take(key)?;
-        field
-            .value
-            .parse::<usize>()
-            .map_err(|_| FaultError::BadValue {
-                line: field.line,
-                key: key.to_owned(),
-                value: field.value,
-                expected: "a non-negative integer count",
-            })
-    }
-
-    fn ints(
-        &mut self,
-        key: &str,
-        arity: usize,
-        expected: &'static str,
-    ) -> Result<Vec<usize>, FaultError> {
-        let field = self.take(key)?;
-        let parts: Result<Vec<usize>, _> = field
-            .value
-            .split_whitespace()
-            .map(str::parse::<usize>)
-            .collect();
-        match parts {
-            Ok(parts) if parts.len() == arity => Ok(parts),
-            _ => Err(FaultError::BadValue {
-                line: field.line,
-                key: key.to_owned(),
-                value: field.value,
-                expected,
-            }),
-        }
-    }
-
-    fn finish(self) -> Result<(), FaultError> {
-        if let Some((key, field)) = self.fields.into_iter().min_by_key(|(_, field)| field.line) {
-            return Err(FaultError::UnknownKey {
-                line: field.line,
+impl From<KvError<'_>> for FaultError {
+    fn from(e: KvError<'_>) -> Self {
+        match e {
+            KvError::Syntax { line, message } => FaultError::Syntax { line, message },
+            KvError::DuplicateKey {
+                line,
                 key,
-            });
+                first_line,
+            } => FaultError::DuplicateKey {
+                line,
+                key,
+                first_line,
+            },
+            KvError::MissingKey { key } => FaultError::MissingKey {
+                key: key.to_owned(),
+            },
+            KvError::BadValue {
+                line,
+                key,
+                value,
+                expected,
+            } => FaultError::BadValue {
+                line,
+                key: key.to_owned(),
+                value,
+                expected,
+            },
+            KvError::UnknownKey { line, key } => FaultError::UnknownKey { line, key },
         }
-        Ok(())
     }
 }
 

@@ -199,3 +199,41 @@ proptest! {
         }
     }
 }
+
+// A fault count is read from the file: a huge one must fail at its first
+// missing fault line, not size an allocation.
+#[test]
+fn huge_fault_counts_fail_at_the_first_missing_line() {
+    for count in ["18446744073709551615", "4000000000"] {
+        let channels =
+            format!("format_version = 1\nname = x\nchannel_faults = {count}\nfactory_faults = 0\n");
+        assert_eq!(
+            FaultPlan::parse(&channels),
+            Err(FaultError::MissingKey {
+                key: "channel_fault.0".to_owned()
+            })
+        );
+        let factory =
+            format!("format_version = 1\nname = x\nchannel_faults = 0\nfactory_faults = {count}\n");
+        assert_eq!(
+            FaultPlan::parse(&factory),
+            Err(FaultError::MissingKey {
+                key: "factory_fault.0".to_owned()
+            })
+        );
+    }
+}
+
+// Of several unknown keys, the one on the lowest line is reported.
+#[test]
+fn the_unknown_key_on_the_lowest_line_is_reported() {
+    let text = format!("{}zulu = 1\nalpha = 2\n", random_plan(7).render());
+    let line = text.lines().count() - 1;
+    assert_eq!(
+        FaultPlan::parse(&text),
+        Err(FaultError::UnknownKey {
+            line,
+            key: "zulu".to_owned()
+        })
+    );
+}

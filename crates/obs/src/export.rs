@@ -7,6 +7,7 @@
 //! what the CI determinism job does with them.
 
 use crate::record::{Event, EventKind, EventLog};
+use qla_report::json_escape;
 
 /// Render logs as Chrome trace-event JSON (the format Perfetto and
 /// `chrome://tracing` load). One log = one process row (pid = slice
@@ -28,8 +29,8 @@ pub fn chrome_trace(logs: &[EventLog]) -> String {
         push(
             format!(
                 "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                escape(log.label())
+                 \"args\":{{\"name\":{}}}}}",
+                json_escape(log.label())
             ),
             &mut out,
         );
@@ -37,8 +38,8 @@ pub fn chrome_trace(logs: &[EventLog]) -> String {
             push(
                 format!(
                     "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-                     \"name\":\"thread_name\",\"args\":{{\"name\":\"{}\"}}}}",
-                    escape(track)
+                     \"name\":\"thread_name\",\"args\":{{\"name\":{}}}}}",
+                    json_escape(track)
                 ),
                 &mut out,
             );
@@ -55,20 +56,20 @@ pub fn chrome_trace(logs: &[EventLog]) -> String {
 fn trace_event(pid: usize, event: &Event) -> String {
     let tid = event.track;
     let ts = us(event.ts_ns);
-    let name = escape(&event.name);
+    let name = json_escape(&event.name);
     match event.kind {
         EventKind::Span { dur_ns } => format!(
             "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\
-             \"dur\":{},\"name\":\"{name}\"}}",
+             \"dur\":{},\"name\":{name}}}",
             us(dur_ns)
         ),
         EventKind::Instant => format!(
             "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\
-             \"s\":\"t\",\"name\":\"{name}\"}}"
+             \"s\":\"t\",\"name\":{name}}}"
         ),
         EventKind::Counter { value } => format!(
             "{{\"ph\":\"C\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\
-             \"name\":\"{name}\",\"args\":{{\"value\":{value}}}}}"
+             \"name\":{name},\"args\":{{\"value\":{value}}}}}"
         ),
     }
 }
@@ -116,20 +117,6 @@ pub fn text_timeline(logs: &[EventLog]) -> String {
 /// exact and byte-stable.
 fn us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
-
-/// Minimal JSON string escaping for the code-controlled names we emit.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
