@@ -1,14 +1,17 @@
-//! Criterion bench: the instruction-trace pipeline at three program sizes.
+//! Criterion bench: the instruction-trace pipeline at several program sizes.
 //!
 //! Traces are the newest hot path — every `trace-*` experiment and any
 //! future program-driven scenario pays for (a) parsing the text format,
 //! (b) hazard layering + greedy window planning, and (c) the paced
 //! discrete-event replay. This bench times each stage separately on QCLA
 //! adder programs of 4, 8, and 16 bits at the design-point machine, so a
-//! regression in any stage is visible per commit. CI uploads this output
-//! next to the JSON report artefacts.
+//! regression in any stage is visible per commit. Window planning is also
+//! timed on the committed factor-128 adder, where the scheduler's
+//! super-linear cost shows. CI uploads this output next to the JSON report
+//! artefacts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use qla_bench::experiments::sim_support::machine_mesh;
 use qla_core::MachineSpec;
 use qla_sim::simulate;
 use qla_trace::generators::qcla_adder;
@@ -18,11 +21,13 @@ use std::hint::black_box;
 /// Adder register widths benchmarked (qubits = 4 × bits).
 const WIDTHS: [usize; 3] = [4, 8, 16];
 
+/// The committed 128-bit adder (512 qubits, 512 Toffolis).
+const FACTOR128_TRACE: &str = include_str!("../tests/data/factor128-qcla-adder.trace");
+
 fn bench_trace_pipeline(c: &mut Criterion) {
     let spec = MachineSpec::expected();
     let machine = spec.machine().expect("expected profile builds");
-    let mesh = qla_sched::Mesh::from_floorplan(&machine.floorplan, machine.config.bandwidth)
-        .with_pairs_per_window(machine.epr_pairs_per_ecc_window());
+    let mesh = machine_mesh(&machine);
     let cfg = qla_sim::SimConfig {
         window: qla_sim::SimTime::from_time(machine.ecc_window()),
         pair_service: qla_sim::SimTime::from_time(machine.epr_pair_service_time()),
@@ -50,15 +55,30 @@ fn bench_trace_pipeline(c: &mut Criterion) {
     }
     parse.finish();
 
+    // The generated adders on the design-point machine, then the committed
+    // factor-128 adder on the 1024-qubit machine its 512 qubits need.
+    let mut factor128_spec = MachineSpec::expected();
+    factor128_spec.logical_qubits = 1024;
+    let factor128_mesh =
+        machine_mesh(&factor128_spec.machine().expect("factor-128 machine builds"));
+    let mut programs: Vec<(usize, Trace, &qla_sched::Mesh)> = WIDTHS
+        .iter()
+        .map(|&bits| (bits, qcla_adder(bits), &mesh))
+        .collect();
+    programs.push((
+        128,
+        Trace::parse(FACTOR128_TRACE).expect("committed trace parses"),
+        &factor128_mesh,
+    ));
+
     let mut schedule = c.benchmark_group("trace_schedule");
     schedule.sample_size(10);
-    for bits in WIDTHS {
-        let trace = qcla_adder(bits);
-        let placement = Placement::spread(&mesh, &trace);
-        schedule.bench_with_input(BenchmarkId::new("qcla", bits), &trace, |b, trace| {
+    for (bits, trace, mesh) in &programs {
+        let placement = Placement::spread(mesh, trace);
+        schedule.bench_with_input(BenchmarkId::new("qcla", bits), trace, |b, trace| {
             b.iter(|| {
-                let traffic = TraceTraffic::lower(black_box(trace), &mesh, &placement);
-                black_box(schedule_trace(&traffic, &mesh))
+                let traffic = TraceTraffic::lower(black_box(trace), mesh, &placement);
+                black_box(schedule_trace(&traffic, mesh))
             });
         });
     }

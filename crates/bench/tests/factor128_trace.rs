@@ -3,7 +3,7 @@
 //! The trace-replay experiment's built-in programs are generated fresh on
 //! every run; this test pins one *committed* artefact at the scale of the
 //! paper's headline workload — the 128-bit QCLA carry-lookahead adder
-//! that dominates Shor-128 (512 Toffolis across 777 qubits) — and proves
+//! that dominates Shor-128 (512 Toffolis across 512 qubits) — and proves
 //! the `--trace` CLI path replays it deterministically. The fixture
 //! regenerates with the usual flow:
 //!
@@ -41,7 +41,7 @@ fn the_committed_trace_is_the_canonical_128_bit_adder() {
 
 #[test]
 fn the_committed_trace_replays_through_the_cli_at_any_job_count() {
-    // The 777-qubit adder does not fit the 400-qubit default profile, so
+    // The 512-qubit adder does not fit the 400-qubit default profile, so
     // the replay runs under a factor-128-sized scenario spec — exercising
     // the same `--spec` path a user would take for this workload.
     let mut spec = qla_core::MachineSpec::expected();

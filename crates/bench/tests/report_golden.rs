@@ -226,6 +226,28 @@ fn fault_sweep_json_and_text_are_byte_stable() {
 }
 
 #[test]
+fn scheduler_utilization_json_and_text_are_byte_stable() {
+    // Toffoli sites are uniform integer draws on ChaCha8 and the greedy
+    // scheduler is pure integer routing; the one float, utilisation, is an
+    // integer ratio (correctly rounded everywhere). Pins the Section 5
+    // artefact byte-for-byte, so any rewrite of the scheduler must keep
+    // every batch it routes.
+    let e = registry::find("scheduler-utilization").unwrap();
+    let ctx = ExperimentContext::new(e.default_trials(), GOLDEN_SEED);
+    let report = e.run_report(&ctx);
+    assert_golden(
+        "scheduler-utilization.json",
+        &report.render(Format::Json),
+        include_str!("golden/scheduler-utilization.json"),
+    );
+    assert_golden(
+        "scheduler-utilization.txt",
+        &report.render(Format::Text),
+        include_str!("golden/scheduler-utilization.txt"),
+    );
+}
+
+#[test]
 fn traffic_matrix_json_and_text_are_byte_stable() {
     // Endpoint draws are uniform integer ranges on ChaCha8; routing and
     // the engine are pure integer work, so platform-stable as above.

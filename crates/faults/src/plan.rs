@@ -298,7 +298,6 @@ impl FaultPlan {
     /// would silently *heal* the machine, not degrade it).
     pub fn compile(&self, mesh: &Mesh, cfg: &SimConfig) -> Result<FaultTimeline, FaultError> {
         self.validate()?;
-        let edges: std::collections::HashSet<Edge> = mesh.edges().into_iter().collect();
         let span = |onset: usize, duration: usize| {
             let from = cfg.window * onset as u64;
             (from, from + cfg.window * duration as u64)
@@ -306,7 +305,7 @@ impl FaultPlan {
         let mut timeline = FaultTimeline::default();
         for (i, fault) in self.channel_faults.iter().enumerate() {
             let edge = Edge::new(fault.a, fault.b);
-            if !edges.contains(&edge) {
+            if !mesh.contains_edge(edge) {
                 return Err(FaultError::Invalid(format!(
                     "channel_fault.{i} names edge ({}, {}) outside the {}-node mesh",
                     fault.a,

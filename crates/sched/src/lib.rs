@@ -21,7 +21,7 @@ pub mod mesh;
 pub mod scheduler;
 pub mod traffic;
 
-pub use mesh::{Edge, Mesh, Node};
+pub use mesh::{Edge, Mesh, Node, PathSearch, Route};
 pub use scheduler::{CommRequest, GreedyScheduler, RoutedBatch, ScheduleResult};
 pub use traffic::{
     random_toffoli_sites, schedule_toffoli_traffic, ToffoliScheduleReport, ToffoliSite,

@@ -8,9 +8,9 @@
 //! logical qubits spend in error correction, so that communication never
 //! appears on the critical path.
 
-use crate::mesh::{Edge, Mesh, Node};
+use crate::mesh::{Mesh, Node, PathSearch};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
 
 /// A request to deliver `pairs` purified EPR pairs between two logical
 /// qubits before their next interaction.
@@ -94,63 +94,67 @@ impl GreedyScheduler {
 
     /// Schedule all requests, greedily filling each window before opening the
     /// next.
+    ///
+    /// Cost model: residual capacity lives in a `Vec` under the dense
+    /// [`Mesh::edge_index`], refilled per window; each routing attempt is
+    /// one [`PathSearch`] over reused buffers; and a request that finds no
+    /// path is skipped for the rest of its window — capacities only fall
+    /// within a window, so its search could only fail again.
     #[must_use]
     pub fn schedule(&self, requests: &[CommRequest]) -> ScheduleResult {
+        let mesh = &self.mesh;
         let mut remaining: Vec<usize> = requests.iter().map(|r| r.pairs).collect();
         let mut batches = Vec::new();
         let mut windows_used = 0usize;
         let mut capacity_consumed = 0usize;
+        // Residual capacity per edge (both directions tracked together).
+        let mut capacity = vec![0; mesh.edge_count()];
+        let mut blocked = vec![false; requests.len()];
+        let mut order = Vec::with_capacity(requests.len());
+        let mut search = PathSearch::new();
 
         for window in 0..self.max_windows {
             if remaining.iter().all(|&p| p == 0) {
                 break;
             }
             windows_used = window + 1;
-            // Fresh per-window residual capacities (bandwidth per direction;
-            // we track the two directions of an edge together).
-            let mut capacity: HashMap<Edge, usize> = self
-                .mesh
-                .edges()
-                .into_iter()
-                .map(|e| (e, self.mesh.edge_capacity_per_window()))
-                .collect();
+            capacity.fill(mesh.edge_capacity_per_window());
+            blocked.fill(false);
 
             // Greedy pass: requests in order of decreasing remaining demand,
             // grabbing all the bandwidth their best path offers; back off to
             // the next request when no path with spare capacity exists.
             loop {
                 let mut progressed = false;
-                let mut order: Vec<usize> = (0..requests.len()).collect();
-                order.sort_by_key(|&i| std::cmp::Reverse(remaining[i]));
-                for i in order {
-                    if remaining[i] == 0 {
-                        continue;
-                    }
+                // Stable sort from identity order. Filtering first keeps the
+                // relative order of the requests a pass can still serve.
+                order.clear();
+                order.extend((0..requests.len()).filter(|&i| remaining[i] > 0 && !blocked[i]));
+                order.sort_by_key(|&i| Reverse(remaining[i]));
+                for &i in &order {
                     let req = requests[i];
-                    if let Some(path) = self.shortest_available_path(req.from, req.to, &capacity) {
-                        // Bottleneck capacity along the path.
-                        let bottleneck = path
-                            .windows(2)
-                            .map(|w| capacity[&Edge::new(w[0], w[1])])
-                            .min()
-                            .unwrap_or(0);
-                        if bottleneck == 0 {
-                            continue;
-                        }
-                        let send = bottleneck.min(remaining[i]);
-                        for w in path.windows(2) {
-                            *capacity.get_mut(&Edge::new(w[0], w[1])).expect("edge") -= send;
-                        }
-                        capacity_consumed += send * (path.len() - 1);
-                        remaining[i] -= send;
-                        batches.push(RoutedBatch {
-                            request: i,
-                            window,
-                            path: path.clone(),
-                            pairs: send,
-                        });
-                        progressed = true;
+                    let Some(route) =
+                        search.shortest_path(mesh, req.from, req.to, |e| capacity[e] > 0)
+                    else {
+                        blocked[i] = true;
+                        continue;
+                    };
+                    // Bottleneck capacity along the path (positive: every
+                    // edge was usable).
+                    let bottleneck = route.edges.iter().map(|&e| capacity[e]).min().unwrap_or(0);
+                    let send = bottleneck.min(remaining[i]);
+                    for &e in route.edges {
+                        capacity[e] -= send;
                     }
+                    capacity_consumed += send * route.edges.len();
+                    remaining[i] -= send;
+                    batches.push(RoutedBatch {
+                        request: i,
+                        window,
+                        path: route.nodes.to_vec(),
+                        pairs: send,
+                    });
+                    progressed = true;
                 }
                 if !progressed {
                     break;
@@ -164,59 +168,19 @@ impl GreedyScheduler {
             .filter(|(_, &p)| p > 0)
             .map(|(i, _)| i)
             .collect();
-        let total_capacity = self.mesh.total_capacity_per_window() * windows_used.max(1);
+        let total_capacity = mesh.total_capacity_per_window() * windows_used.max(1);
         ScheduleResult {
             batches,
             windows_used,
-            utilization: capacity_consumed as f64 / total_capacity as f64,
+            // A mesh without capacity (one node, or bandwidth 0) utilises
+            // none of it.
+            utilization: if total_capacity == 0 {
+                0.0
+            } else {
+                capacity_consumed as f64 / total_capacity as f64
+            },
             unsatisfied,
         }
-    }
-
-    /// BFS for the shortest path from `from` to `to` using only edges with
-    /// spare capacity. Requests between co-located qubits return a trivial
-    /// two-node path via any neighbour (the pair still has to leave the tile).
-    fn shortest_available_path(
-        &self,
-        from: Node,
-        to: Node,
-        capacity: &HashMap<Edge, usize>,
-    ) -> Option<Vec<Node>> {
-        if from == to {
-            return self
-                .mesh
-                .neighbours(from)
-                .into_iter()
-                .find(|&n| capacity.get(&Edge::new(from, n)).copied().unwrap_or(0) > 0)
-                .map(|n| vec![from, n]);
-        }
-        let mut prev: HashMap<Node, Node> = HashMap::new();
-        let mut queue = VecDeque::new();
-        queue.push_back(from);
-        prev.insert(from, from);
-        while let Some(n) = queue.pop_front() {
-            if n == to {
-                let mut path = vec![to];
-                let mut cur = to;
-                while cur != from {
-                    cur = prev[&cur];
-                    path.push(cur);
-                }
-                path.reverse();
-                return Some(path);
-            }
-            for next in self.mesh.neighbours(n) {
-                if prev.contains_key(&next) {
-                    continue;
-                }
-                if capacity.get(&Edge::new(n, next)).copied().unwrap_or(0) == 0 {
-                    continue;
-                }
-                prev.insert(next, n);
-                queue.push_back(next);
-            }
-        }
-        None
     }
 }
 
@@ -310,6 +274,33 @@ mod tests {
         let narrow = GreedyScheduler::new(mesh(1)).schedule(&requests);
         let wide = GreedyScheduler::new(mesh(4)).schedule(&requests);
         assert!(wide.windows_used <= narrow.windows_used);
+    }
+
+    #[test]
+    fn a_mesh_without_capacity_reports_zero_utilization() {
+        // A 1x1 mesh has no edges and a bandwidth-0 mesh has no channels:
+        // either way there is no capacity to utilise, and 0/0 must not
+        // leak out as NaN.
+        let requests = [
+            CommRequest {
+                from: 0,
+                to: 0,
+                pairs: 3,
+            },
+            CommRequest {
+                from: 0,
+                to: 0,
+                pairs: 0,
+            },
+        ];
+        for mesh in [Mesh::new(1, 1, 2), Mesh::new(4, 3, 0), Mesh::new(1, 1, 0)] {
+            let s = GreedyScheduler::new(mesh);
+            for requests in [&requests[..], &requests[1..], &[]] {
+                let result = s.schedule(requests);
+                assert_eq!(result.utilization.to_bits(), 0.0f64.to_bits());
+                assert!(result.batches.is_empty());
+            }
+        }
     }
 
     #[test]

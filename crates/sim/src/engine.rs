@@ -48,9 +48,9 @@
 use crate::queue::EventQueue;
 use crate::time::SimTime;
 use qla_obs::{Noop, ObsDetail, Recorder};
-use qla_sched::{CommRequest, Edge, Mesh};
+use qla_sched::{CommRequest, Edge, Mesh, PathSearch};
 use serde::Serialize;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Fixed parameters of one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -234,7 +234,6 @@ impl FaultTimeline {
     /// a zero tenant quota, or an item whose tenant does not index into
     /// the quota table.
     pub fn validate(&self, mesh: &Mesh, cfg: &SimConfig, items: &[WorkItem]) {
-        let edges: std::collections::HashSet<Edge> = mesh.edges().into_iter().collect();
         for fault in &self.channel_faults {
             assert!(
                 fault.from < fault.until,
@@ -243,7 +242,7 @@ impl FaultTimeline {
                 fault.until
             );
             assert!(
-                edges.contains(&fault.edge),
+                mesh.contains_edge(fault.edge),
                 "channel fault names edge {:?} outside the mesh",
                 fault.edge
             );
@@ -452,8 +451,10 @@ struct EdgeState {
 struct Simulator<'a> {
     cfg: &'a SimConfig,
     mesh: &'a Mesh,
-    edge_index: HashMap<Edge, usize>,
+    /// Per-edge link state under [`Mesh::edge_index`].
     edges: Vec<EdgeState>,
+    /// The router's reused BFS buffers.
+    paths: PathSearch,
     /// Channel faults per edge index, `(from, until, channels)`.
     edge_faults: Vec<Vec<(SimTime, SimTime, usize)>>,
     factory_faults: &'a [FactoryFault],
@@ -540,28 +541,26 @@ pub fn simulate_observed(
 ) -> SimOutcome {
     cfg.validate();
     faults.validate(mesh, cfg, items);
-    let mesh_edges = mesh.edges();
-    let edge_index: HashMap<Edge, usize> = mesh_edges
-        .iter()
-        .enumerate()
-        .map(|(i, &e)| (e, i))
-        .collect();
-    let mut edge_faults: Vec<Vec<(SimTime, SimTime, usize)>> = vec![Vec::new(); mesh_edges.len()];
+    let edge_count = mesh.edge_count();
+    let mut edge_faults: Vec<Vec<(SimTime, SimTime, usize)>> = vec![Vec::new(); edge_count];
     for fault in &faults.channel_faults {
-        edge_faults[edge_index[&fault.edge]].push((fault.from, fault.until, fault.channels));
+        edge_faults[mesh.edge_index(fault.edge.a, fault.edge.b)].push((
+            fault.from,
+            fault.until,
+            fault.channels,
+        ));
     }
     let mut sim = Simulator {
         cfg,
         mesh,
-        edges: mesh_edges
-            .iter()
+        edges: (0..edge_count)
             .map(|_| EdgeState {
                 queue: VecDeque::new(),
                 round_pending: false,
                 busy_until: SimTime::ZERO,
             })
             .collect(),
-        edge_index,
+        paths: PathSearch::new(),
         edge_faults,
         factory_faults: &faults.factory_faults,
         tenant_quotas: &faults.tenant_quotas,
@@ -806,9 +805,16 @@ impl Simulator<'_> {
             self.complete_item(item, now);
             return;
         }
+        // Borrow the router's buffers out of `self` so the route can be
+        // read while the edges it names are scheduled.
+        let mut paths = std::mem::take(&mut self.paths);
         for request in comm {
-            let path = shortest_path(self.mesh, request.from, request.to);
-            let hops = path.len().saturating_sub(1);
+            assert_endpoints(self.mesh, request.from, request.to);
+            // Every edge is usable: `None` only for co-located endpoints
+            // on a one-node mesh, which route nowhere.
+            let route = paths.shortest_path(self.mesh, request.from, request.to, |_| true);
+            let hop_edges = route.map_or(&[][..], |route| route.edges);
+            let hops = hop_edges.len();
             let jobs = request.pairs * hops;
             let id = self.requests.len();
             self.requests.push(RequestState {
@@ -823,14 +829,14 @@ impl Simulator<'_> {
                 self.complete_request(id, now);
                 continue;
             }
-            for pair in path.windows(2) {
-                let edge = self.edge_index[&Edge::new(pair[0], pair[1])];
+            for &edge in hop_edges {
                 for _ in 0..request.pairs {
                     self.edges[edge].queue.push_back(id);
                 }
                 self.schedule_round(edge, now);
             }
         }
+        self.paths = paths;
     }
 
     fn schedule_round(&mut self, edge: usize, now: SimTime) {
@@ -945,47 +951,29 @@ impl Simulator<'_> {
     }
 }
 
-/// Deterministic breadth-first shortest path over the mesh (neighbour order
-/// is the mesh's fixed left/right/up/down order, so routing never depends
-/// on hash-map iteration). Co-located endpoints route out-and-back through
-/// the first neighbour, mirroring the greedy scheduler's convention that
-/// the pair still has to leave the tile.
+/// Deterministic breadth-first shortest path over the mesh: the
+/// [`PathSearch`] router shared with the greedy scheduler, with every edge
+/// usable (neighbour order is the mesh's fixed left/right/up/down order,
+/// so routing never depends on hash-map iteration). Co-located endpoints
+/// route out-and-back through the first neighbour, mirroring the greedy
+/// scheduler's convention that the pair still has to leave the tile.
+///
+/// # Panics
+/// Panics when an endpoint lies outside the mesh.
 #[must_use]
 pub fn shortest_path(mesh: &Mesh, from: usize, to: usize) -> Vec<usize> {
+    assert_endpoints(mesh, from, to);
+    PathSearch::new()
+        .shortest_path(mesh, from, to, |_| true)
+        .map_or_else(|| vec![from], |route| route.nodes.to_vec())
+}
+
+fn assert_endpoints(mesh: &Mesh, from: usize, to: usize) {
     assert!(
         from < mesh.node_count() && to < mesh.node_count(),
         "request endpoints ({from}, {to}) outside the {}-node mesh",
         mesh.node_count()
     );
-    if from == to {
-        return match mesh.neighbours(from).first() {
-            Some(&n) => vec![from, n],
-            None => vec![from],
-        };
-    }
-    let mut prev: Vec<Option<usize>> = vec![None; mesh.node_count()];
-    prev[from] = Some(from);
-    let mut queue = VecDeque::new();
-    queue.push_back(from);
-    'search: while let Some(node) = queue.pop_front() {
-        for next in mesh.neighbours(node) {
-            if prev[next].is_none() {
-                prev[next] = Some(node);
-                if next == to {
-                    break 'search;
-                }
-                queue.push_back(next);
-            }
-        }
-    }
-    let mut path = vec![to];
-    let mut cursor = to;
-    while cursor != from {
-        cursor = prev[cursor].expect("grid meshes are connected");
-        path.push(cursor);
-    }
-    path.reverse();
-    path
 }
 
 #[cfg(test)]
