@@ -20,10 +20,11 @@
 //!   [`MachineSpec::render`] / [`MachineSpec::parse`] round-tripping
 //!   exactly and loud [`SpecError`]s for unknown, duplicate, missing, or
 //!   malformed keys;
-//! * **validation** — [`MachineSpec::validate`] routes the design point
-//!   through the [`MachineBuilder`](crate::MachineBuilder) invariants and
-//!   checks the sweep grids, so an invalid spec fails at load time, not
-//!   three experiments into a `run-all`.
+//! * **validation** — [`MachineSpec::validate`] checks every key against
+//!   the range on its row of the field table, then the rules that relate
+//!   keys, then the [`MachineBuilder`](crate::MachineBuilder) invariants,
+//!   so an invalid spec fails at load time, not three experiments into a
+//!   `run-all`.
 //!
 //! The active spec travels on the
 //! [`ExperimentContext`](crate::ExperimentContext); experiments build their
@@ -41,6 +42,7 @@ use qla_obs::{ObsConfig, ObsDetail};
 use qla_physical::{TechnologyParams, Time};
 use qla_qec::EccLatencies;
 use qla_report::Scenario;
+use qla_sched::Mesh;
 use serde::Serialize;
 
 /// Average ballistic-movement distance (cells) accompanying one transversal
@@ -416,6 +418,36 @@ pub const MAX_TRACE_BITS: usize = 1_024;
 /// Most instructions a spec may ask the random trace generator for.
 pub const MAX_TRACE_OPS: usize = 1_000_000;
 
+/// Most logical qubits: room for Table 2's largest machine (602,259 for 2048-bit Shor).
+pub const MAX_LOGICAL_QUBITS: usize = 1_000_000;
+
+/// Deepest Equation 2 table: a level-8 Steane block holds 7^8 ≈ 5.8 million qubits.
+pub const MAX_RECURSION_LEVEL: usize = 8;
+
+/// Highest machine level; the build narrows it to the levels its ECC latencies cover.
+pub const MAX_MACHINE_LEVEL: usize = 16;
+
+/// Most channels per direction: the scheduler study stops at 8.
+pub const MAX_BANDWIDTH: usize = 1_024;
+
+/// Most Figure 7 threshold-scan points; each costs a full Monte-Carlo run.
+pub const MAX_SCAN_POINTS: usize = 1_000;
+
+/// Longest Figure 9 distance (cells): wider than Table 2's largest chip (~68,000 cells).
+pub const MAX_DISTANCE_CELLS: usize = 100_000;
+
+/// Most work items one Toffoli batch, contended burst or tenant window submits at once.
+pub const MAX_BATCH: usize = 10_000;
+
+/// Most admission or ancilla-factory slots: counters, never allocated.
+pub const MAX_SLOTS: usize = 1_000_000;
+
+/// Longest simulated phase in ECC windows: keeps `load × windows` arrivals allocatable.
+pub const MAX_WINDOWS: usize = 1_000;
+
+/// Coarsest counter thinning: one sample in a million.
+pub const MAX_SAMPLE_EVERY: usize = 1_000_000;
+
 /// Names of the built-in profiles, in presentation order.
 pub const BUILTIN_PROFILES: [&str; 4] =
     ["expected", "current", "relaxed-failures", "relaxed-speed"];
@@ -571,131 +603,22 @@ impl MachineSpec {
         }
     }
 
-    /// Check the whole spec: the machine invariants (through
-    /// [`MachineBuilder`]) plus the text-format and sweep-grid constraints.
+    /// Check the whole spec: every key against the range on its row of
+    /// the field table, then the rules that relate several keys, then the
+    /// machine invariants (through [`MachineBuilder`]).
     ///
     /// # Errors
-    /// Returns the first violation as a [`SpecError`] with a message naming
-    /// the offending field.
+    /// Returns the first violation as a [`SpecError`] whose message names
+    /// the offending key; of several out-of-range keys, the first in render
+    /// order.
     pub fn validate(&self) -> Result<(), SpecError> {
-        let line_safe = |label: &str, value: &str| -> Result<(), SpecError> {
-            if value.is_empty() && label == "name" {
-                return Err(SpecError::Invalid(format!("{label} must not be empty")));
-            }
-            if value.contains('\n') || value.contains('#') {
-                return Err(SpecError::Invalid(format!(
-                    "{label} must be a single line without '#' (got {value:?})"
-                )));
-            }
-            // The parser trims values, so padding would not survive a
-            // render→parse round trip; reject it here instead of silently
-            // mutating the spec.
-            if value.trim() != value {
-                return Err(SpecError::Invalid(format!(
-                    "{label} must not have leading/trailing whitespace (got {value:?})"
-                )));
-            }
-            Ok(())
-        };
-        line_safe("name", &self.name)?;
-        line_safe("description", &self.description)?;
-
-        let prob = |key: &str, v: f64| -> Result<(), SpecError> {
-            if !v.is_finite() || !(0.0..=1.0).contains(&v) {
-                return Err(SpecError::Invalid(format!(
-                    "{key} must be a probability in [0, 1], got {v}"
-                )));
-            }
-            Ok(())
-        };
-        let positive = |key: &str, v: f64| -> Result<(), SpecError> {
-            if !v.is_finite() || v <= 0.0 {
-                return Err(SpecError::Invalid(format!(
-                    "{key} must be a finite positive number, got {v}"
-                )));
-            }
-            Ok(())
-        };
-
-        positive("tech.cell_size_um", self.tech.cell_size_um)?;
-        let t = &self.tech.times;
-        for (key, time) in [
-            ("tech.time.single_gate_us", t.single_gate),
-            ("tech.time.double_gate_us", t.double_gate),
-            ("tech.time.measure_us", t.measure),
-            ("tech.time.move_per_um_us", t.move_per_um),
-            ("tech.time.move_per_cell_us", t.move_per_cell),
-            ("tech.time.split_us", t.split),
-            ("tech.time.corner_turn_us", t.corner_turn),
-            ("tech.time.cool_us", t.cool),
-            ("tech.time.memory_lifetime_us", t.memory_lifetime),
-        ] {
-            positive(key, time.as_micros())?;
-        }
-        let p = &self.tech.failures;
-        for (key, rate) in [
-            ("tech.fail.single_gate", p.single_gate),
-            ("tech.fail.double_gate", p.double_gate),
-            ("tech.fail.measure", p.measure),
-            ("tech.fail.move_per_um", p.move_per_um),
-            ("tech.fail.move_per_cell", p.move_per_cell),
-        ] {
-            prob(key, rate)?;
-        }
-        positive("tech.fail.memory_per_sec", p.memory_per_sec)?;
-
-        let ic = &self.interconnect;
-        prob("interconnect.creation_fidelity", ic.creation_fidelity)?;
-        prob("interconnect.per_cell_error", ic.per_cell_error)?;
-        prob("interconnect.local_op_error", ic.local_op_error)?;
-        prob("interconnect.swap_op_error", ic.swap_op_error)?;
-        prob("interconnect.max_final_infidelity", ic.max_final_infidelity)?;
-        positive(
-            "interconnect.purification_round_time_us",
-            ic.purification_round_time.as_micros(),
-        )?;
-        positive(
-            "interconnect.swap_stage_time_us",
-            ic.swap_stage_time.as_micros(),
-        )?;
-
+        check_fields(self)?;
         let s = &self.sweep;
-        if s.component_rates.is_empty() {
-            return Err(SpecError::Invalid(
-                "sweep.component_rates must list at least one rate".to_string(),
-            ));
-        }
-        for &rate in &s.component_rates {
-            if !rate.is_finite() || rate <= 0.0 || rate >= 1.0 {
-                return Err(SpecError::Invalid(format!(
-                    "sweep.component_rates entries must lie in (0, 1), got {rate}"
-                )));
-            }
-        }
-        positive("sweep.threshold_scan_lo", s.threshold_scan_lo)?;
-        positive("sweep.threshold_scan_hi", s.threshold_scan_hi)?;
         if s.threshold_scan_lo >= s.threshold_scan_hi {
             return Err(SpecError::Invalid(format!(
                 "sweep.threshold_scan_lo ({}) must be below sweep.threshold_scan_hi ({})",
                 s.threshold_scan_lo, s.threshold_scan_hi
             )));
-        }
-        if s.threshold_scan_points < 2 {
-            return Err(SpecError::Invalid(format!(
-                "sweep.threshold_scan_points must be at least 2, got {}",
-                s.threshold_scan_points
-            )));
-        }
-        if !(1..=8).contains(&s.max_recursion_level) {
-            return Err(SpecError::Invalid(format!(
-                "sweep.max_recursion_level must lie in 1..=8, got {}",
-                s.max_recursion_level
-            )));
-        }
-        if s.distance_step_cells == 0 {
-            return Err(SpecError::Invalid(
-                "sweep.distance_step_cells must be at least 1".to_string(),
-            ));
         }
         if s.distance_max_cells < s.distance_step_cells {
             return Err(SpecError::Invalid(format!(
@@ -703,180 +626,21 @@ impl MachineSpec {
                 s.distance_max_cells, s.distance_step_cells
             )));
         }
-        if s.bandwidths.is_empty() || s.bandwidths.contains(&0) {
-            return Err(SpecError::Invalid(
-                "sweep.bandwidths must list at least one non-zero bandwidth".to_string(),
-            ));
-        }
-        if s.toffoli_counts.is_empty() || s.toffoli_counts.contains(&0) {
-            return Err(SpecError::Invalid(
-                "sweep.toffoli_counts must list at least one non-zero batch size".to_string(),
-            ));
-        }
-
-        let sim = &s.sim;
-        if sim.offered_loads.is_empty() {
-            return Err(SpecError::Invalid(
-                "sweep.sim.offered_loads must list at least one load".to_string(),
-            ));
-        }
-        // Loads are bounded above as well as below: an astronomical load
-        // would offer millions of gates per window and turn a "sweep point"
-        // into an out-of-memory run before the engine's own clamps engage.
-        let load_in_range = |key: &str, load: f64| -> Result<(), SpecError> {
-            if !load.is_finite() || load <= 0.0 || load > MAX_OFFERED_LOAD {
-                return Err(SpecError::Invalid(format!(
-                    "{key} must be a positive load of at most {MAX_OFFERED_LOAD} \
-                     Toffolis per window, got {load}"
-                )));
-            }
-            Ok(())
-        };
-        for &load in &sim.offered_loads {
-            load_in_range("sweep.sim.offered_loads entries", load)?;
-        }
-        load_in_range("sweep.sim.tail_offered_load", sim.tail_offered_load)?;
-        if !sim.burst_factor.is_finite() || sim.burst_factor < 1.0 {
+        let machine = self.machine()?;
+        // The multi-tenant study gives each tenant its own interior row of
+        // the machine's mesh, so this rule reads the built floorplan.
+        let mesh = Mesh::from_floorplan(&machine.floorplan, machine.config.bandwidth);
+        let interior_rows = mesh.rows().saturating_sub(2);
+        if s.fault.tenants > interior_rows {
             return Err(SpecError::Invalid(format!(
-                "sweep.sim.burst_factor must be at least 1, got {}",
-                sim.burst_factor
+                "sweep.fault.tenants ({}) must be at most the {interior_rows} interior rows \
+                 of the {}x{} mesh of logical_qubits = {}",
+                s.fault.tenants,
+                mesh.columns(),
+                mesh.rows(),
+                self.logical_qubits
             )));
         }
-        if sim.max_in_flight == 0 {
-            return Err(SpecError::Invalid(
-                "sweep.sim.max_in_flight must be at least 1".to_string(),
-            ));
-        }
-        if sim.ancilla_capacity == 0 {
-            return Err(SpecError::Invalid(
-                "sweep.sim.ancilla_capacity must be at least 1".to_string(),
-            ));
-        }
-        if sim.measure_windows == 0 {
-            return Err(SpecError::Invalid(
-                "sweep.sim.measure_windows must be at least 1".to_string(),
-            ));
-        }
-        if sim.contended_requests < 2 {
-            return Err(SpecError::Invalid(format!(
-                "sweep.sim.contended_requests must be at least 2 (one request is the \
-                 uncontended regime), got {}",
-                sim.contended_requests
-            )));
-        }
-
-        let trace = &s.trace;
-        let bits_in_range = |key: &str, bits: usize, floor: usize| -> Result<(), SpecError> {
-            if bits < floor || bits > MAX_TRACE_BITS {
-                return Err(SpecError::Invalid(format!(
-                    "{key} must be between {floor} and {MAX_TRACE_BITS} bits, got {bits}"
-                )));
-            }
-            Ok(())
-        };
-        bits_in_range("sweep.trace.adder_bits", trace.adder_bits, 1)?;
-        // modexp_costs models moduli of at least 4 bits.
-        bits_in_range("sweep.trace.modexp_bits", trace.modexp_bits, 4)?;
-        if trace.modexp_multiplier_calls == 0 {
-            return Err(SpecError::Invalid(
-                "sweep.trace.modexp_multiplier_calls must be at least 1".to_string(),
-            ));
-        }
-        if trace.random_qubits < 3 || trace.random_qubits > MAX_TRACE_BITS * 4 {
-            return Err(SpecError::Invalid(format!(
-                "sweep.trace.random_qubits must be between 3 (Toffoli operands) and {}, got {}",
-                MAX_TRACE_BITS * 4,
-                trace.random_qubits
-            )));
-        }
-        if trace.random_ops == 0 || trace.random_ops > MAX_TRACE_OPS {
-            return Err(SpecError::Invalid(format!(
-                "sweep.trace.random_ops must be between 1 and {MAX_TRACE_OPS}, got {}",
-                trace.random_ops
-            )));
-        }
-        if trace.scaling_adder_bits.is_empty() {
-            return Err(SpecError::Invalid(
-                "sweep.trace.scaling_adder_bits must list at least one width".to_string(),
-            ));
-        }
-        for &bits in &trace.scaling_adder_bits {
-            bits_in_range("sweep.trace.scaling_adder_bits entries", bits, 1)?;
-        }
-        if trace.scaling_modexp_bits.is_empty() {
-            return Err(SpecError::Invalid(
-                "sweep.trace.scaling_modexp_bits must list at least one width".to_string(),
-            ));
-        }
-        for &bits in &trace.scaling_modexp_bits {
-            bits_in_range("sweep.trace.scaling_modexp_bits entries", bits, 4)?;
-        }
-
-        let fault = &s.fault;
-        if fault.severities.is_empty() {
-            return Err(SpecError::Invalid(
-                "sweep.fault.severities must list at least one severity".to_string(),
-            ));
-        }
-        for &severity in &fault.severities {
-            prob("sweep.fault.severities entries", severity)?;
-        }
-        let fraction = |key: &str, v: f64| -> Result<(), SpecError> {
-            if !v.is_finite() || v <= 0.0 || v > 1.0 {
-                return Err(SpecError::Invalid(format!(
-                    "{key} must be a fraction in (0, 1], got {v}"
-                )));
-            }
-            Ok(())
-        };
-        fraction(
-            "sweep.fault.degraded_edge_fraction",
-            fault.degraded_edge_fraction,
-        )?;
-        if fault.duration_windows == 0 {
-            return Err(SpecError::Invalid(
-                "sweep.fault.duration_windows must be at least 1".to_string(),
-            ));
-        }
-        prob("sweep.fault.factory_loss", fault.factory_loss)?;
-        load_in_range(
-            "sweep.fault.traffic_offered_load",
-            fault.traffic_offered_load,
-        )?;
-        load_in_range("sweep.fault.matrix_offered_load", fault.matrix_offered_load)?;
-        fraction("sweep.fault.hotspot_fraction", fault.hotspot_fraction)?;
-        if fault.tenants == 0 {
-            return Err(SpecError::Invalid(
-                "sweep.fault.tenants must be at least 1".to_string(),
-            ));
-        }
-        if fault.tenant_quota == 0 {
-            return Err(SpecError::Invalid(
-                "sweep.fault.tenant_quota must be at least 1".to_string(),
-            ));
-        }
-        if fault.quota_skews.is_empty() {
-            return Err(SpecError::Invalid(
-                "sweep.fault.quota_skews must list at least one skew".to_string(),
-            ));
-        }
-        for &skew in &fault.quota_skews {
-            if !skew.is_finite() || skew < 1.0 {
-                return Err(SpecError::Invalid(format!(
-                    "sweep.fault.quota_skews entries must be at least 1, got {skew}"
-                )));
-            }
-        }
-
-        let obs = &s.obs;
-        if obs.sample_every == 0 {
-            return Err(SpecError::Invalid(
-                "sweep.obs.sample_every must be at least 1".to_string(),
-            ));
-        }
-
-        // Finally the machine invariants themselves.
-        self.machine().map_err(SpecError::Machine)?;
         Ok(())
     }
 
@@ -923,10 +687,10 @@ const VERSION_KEY: &str = "format_version";
 const VERSION: u32 = 1;
 
 /// The spec's keys in render order, each bound to the field it reads and
-/// writes — the one place a key is named. Expands to `render_fields` and
-/// `parse_fields`.
+/// writes and to the values it accepts — the one place a key is named.
+/// Expands to `render_fields`, `parse_fields` and `check_fields`.
 macro_rules! spec_fields {
-    ($($key:literal => $($field:ident).+,)+) => {
+    ($($key:literal => $($field:ident).+ : $range:expr,)+) => {
         fn render_fields(spec: &MachineSpec, out: &mut String) {
             $(SpecValue::render_line(&spec.$($field).+, $key, out);)+
         }
@@ -938,76 +702,156 @@ macro_rules! spec_fields {
             $(spec.$($field).+ = SpecValue::take(fields, $key)?;)+
             Ok(())
         }
+
+        fn check_fields(spec: &MachineSpec) -> Result<(), SpecError> {
+            use Range::*;
+            $(SpecValue::check(&spec.$($field).+, $key, $range)?;)+
+            Ok(())
+        }
     };
 }
 
 spec_fields! {
-    "name" => name,
-    "description" => description,
-    "logical_qubits" => logical_qubits,
-    "recursion_level" => recursion_level,
-    "bandwidth" => bandwidth,
-    "ecc" => ecc,
-    "tech.cell_size_um" => tech.cell_size_um,
-    "tech.time.single_gate_us" => tech.times.single_gate,
-    "tech.time.double_gate_us" => tech.times.double_gate,
-    "tech.time.measure_us" => tech.times.measure,
-    "tech.time.move_per_um_us" => tech.times.move_per_um,
-    "tech.time.move_per_cell_us" => tech.times.move_per_cell,
-    "tech.time.split_us" => tech.times.split,
-    "tech.time.corner_turn_us" => tech.times.corner_turn,
-    "tech.time.cool_us" => tech.times.cool,
-    "tech.time.memory_lifetime_us" => tech.times.memory_lifetime,
-    "tech.fail.single_gate" => tech.failures.single_gate,
-    "tech.fail.double_gate" => tech.failures.double_gate,
-    "tech.fail.measure" => tech.failures.measure,
-    "tech.fail.move_per_um" => tech.failures.move_per_um,
-    "tech.fail.move_per_cell" => tech.failures.move_per_cell,
-    "tech.fail.memory_per_sec" => tech.failures.memory_per_sec,
-    "interconnect.creation_fidelity" => interconnect.creation_fidelity,
-    "interconnect.per_cell_error" => interconnect.per_cell_error,
-    "interconnect.local_op_error" => interconnect.local_op_error,
-    "interconnect.swap_op_error" => interconnect.swap_op_error,
-    "interconnect.max_final_infidelity" => interconnect.max_final_infidelity,
-    "interconnect.purification_round_time_us" => interconnect.purification_round_time,
-    "interconnect.swap_stage_time_us" => interconnect.swap_stage_time,
-    "sweep.component_rates" => sweep.component_rates,
-    "sweep.threshold_scan_lo" => sweep.threshold_scan_lo,
-    "sweep.threshold_scan_hi" => sweep.threshold_scan_hi,
-    "sweep.threshold_scan_points" => sweep.threshold_scan_points,
-    "sweep.max_recursion_level" => sweep.max_recursion_level,
-    "sweep.distance_step_cells" => sweep.distance_step_cells,
-    "sweep.distance_max_cells" => sweep.distance_max_cells,
-    "sweep.bandwidths" => sweep.bandwidths,
-    "sweep.toffoli_counts" => sweep.toffoli_counts,
-    "sweep.sim.offered_loads" => sweep.sim.offered_loads,
-    "sweep.sim.burst_factor" => sweep.sim.burst_factor,
-    "sweep.sim.max_in_flight" => sweep.sim.max_in_flight,
-    "sweep.sim.ancilla_capacity" => sweep.sim.ancilla_capacity,
-    "sweep.sim.warmup_windows" => sweep.sim.warmup_windows,
-    "sweep.sim.measure_windows" => sweep.sim.measure_windows,
-    "sweep.sim.tail_offered_load" => sweep.sim.tail_offered_load,
-    "sweep.sim.contended_requests" => sweep.sim.contended_requests,
-    "sweep.trace.adder_bits" => sweep.trace.adder_bits,
-    "sweep.trace.modexp_bits" => sweep.trace.modexp_bits,
-    "sweep.trace.modexp_multiplier_calls" => sweep.trace.modexp_multiplier_calls,
-    "sweep.trace.random_qubits" => sweep.trace.random_qubits,
-    "sweep.trace.random_ops" => sweep.trace.random_ops,
-    "sweep.trace.scaling_adder_bits" => sweep.trace.scaling_adder_bits,
-    "sweep.trace.scaling_modexp_bits" => sweep.trace.scaling_modexp_bits,
-    "sweep.fault.severities" => sweep.fault.severities,
-    "sweep.fault.degraded_edge_fraction" => sweep.fault.degraded_edge_fraction,
-    "sweep.fault.onset_windows" => sweep.fault.onset_windows,
-    "sweep.fault.duration_windows" => sweep.fault.duration_windows,
-    "sweep.fault.factory_loss" => sweep.fault.factory_loss,
-    "sweep.fault.traffic_offered_load" => sweep.fault.traffic_offered_load,
-    "sweep.fault.matrix_offered_load" => sweep.fault.matrix_offered_load,
-    "sweep.fault.hotspot_fraction" => sweep.fault.hotspot_fraction,
-    "sweep.fault.tenants" => sweep.fault.tenants,
-    "sweep.fault.tenant_quota" => sweep.fault.tenant_quota,
-    "sweep.fault.quota_skews" => sweep.fault.quota_skews,
-    "sweep.obs.detail" => sweep.obs.detail,
-    "sweep.obs.sample_every" => sweep.obs.sample_every,
+    "name" => name: Name,
+    "description" => description: Text,
+    "logical_qubits" => logical_qubits: Int(1, MAX_LOGICAL_QUBITS),
+    "recursion_level" => recursion_level: Int(1, MAX_MACHINE_LEVEL),
+    "bandwidth" => bandwidth: Int(1, MAX_BANDWIDTH),
+    "ecc" => ecc: Parsed,
+    "tech.cell_size_um" => tech.cell_size_um: Positive,
+    "tech.time.single_gate_us" => tech.times.single_gate: Positive,
+    "tech.time.double_gate_us" => tech.times.double_gate: Positive,
+    "tech.time.measure_us" => tech.times.measure: Positive,
+    "tech.time.move_per_um_us" => tech.times.move_per_um: Positive,
+    "tech.time.move_per_cell_us" => tech.times.move_per_cell: Positive,
+    "tech.time.split_us" => tech.times.split: Positive,
+    "tech.time.corner_turn_us" => tech.times.corner_turn: Positive,
+    "tech.time.cool_us" => tech.times.cool: Positive,
+    "tech.time.memory_lifetime_us" => tech.times.memory_lifetime: Positive,
+    "tech.fail.single_gate" => tech.failures.single_gate: Prob,
+    "tech.fail.double_gate" => tech.failures.double_gate: Prob,
+    "tech.fail.measure" => tech.failures.measure: Prob,
+    "tech.fail.move_per_um" => tech.failures.move_per_um: Prob,
+    "tech.fail.move_per_cell" => tech.failures.move_per_cell: Prob,
+    "tech.fail.memory_per_sec" => tech.failures.memory_per_sec: Positive,
+    "interconnect.creation_fidelity" => interconnect.creation_fidelity: Prob,
+    "interconnect.per_cell_error" => interconnect.per_cell_error: Prob,
+    "interconnect.local_op_error" => interconnect.local_op_error: Prob,
+    "interconnect.swap_op_error" => interconnect.swap_op_error: Prob,
+    "interconnect.max_final_infidelity" => interconnect.max_final_infidelity: Prob,
+    "interconnect.purification_round_time_us" => interconnect.purification_round_time: Positive,
+    "interconnect.swap_stage_time_us" => interconnect.swap_stage_time: Positive,
+    "sweep.component_rates" => sweep.component_rates: Open,
+    "sweep.threshold_scan_lo" => sweep.threshold_scan_lo: Positive,
+    "sweep.threshold_scan_hi" => sweep.threshold_scan_hi: Positive,
+    "sweep.threshold_scan_points" => sweep.threshold_scan_points: Int(2, MAX_SCAN_POINTS),
+    "sweep.max_recursion_level" => sweep.max_recursion_level: Int(1, MAX_RECURSION_LEVEL),
+    "sweep.distance_step_cells" => sweep.distance_step_cells: Int(1, MAX_DISTANCE_CELLS),
+    "sweep.distance_max_cells" => sweep.distance_max_cells: Int(1, MAX_DISTANCE_CELLS),
+    "sweep.bandwidths" => sweep.bandwidths: Int(1, MAX_BANDWIDTH),
+    "sweep.toffoli_counts" => sweep.toffoli_counts: Int(1, MAX_BATCH),
+    "sweep.sim.offered_loads" => sweep.sim.offered_loads: Load,
+    "sweep.sim.burst_factor" => sweep.sim.burst_factor: AtLeast(1.0),
+    "sweep.sim.max_in_flight" => sweep.sim.max_in_flight: Int(1, MAX_SLOTS),
+    "sweep.sim.ancilla_capacity" => sweep.sim.ancilla_capacity: Int(1, MAX_SLOTS),
+    "sweep.sim.warmup_windows" => sweep.sim.warmup_windows: Int(0, MAX_WINDOWS),
+    "sweep.sim.measure_windows" => sweep.sim.measure_windows: Int(1, MAX_WINDOWS),
+    "sweep.sim.tail_offered_load" => sweep.sim.tail_offered_load: Load,
+    // One request is the uncontended regime.
+    "sweep.sim.contended_requests" => sweep.sim.contended_requests: Int(2, MAX_BATCH),
+    "sweep.trace.adder_bits" => sweep.trace.adder_bits: Int(1, MAX_TRACE_BITS),
+    // `modexp_costs` models moduli of at least 4 bits.
+    "sweep.trace.modexp_bits" => sweep.trace.modexp_bits: Int(4, MAX_TRACE_BITS),
+    // The full program of the widest modulus makes 2 · MAX_TRACE_BITS calls.
+    "sweep.trace.modexp_multiplier_calls" =>
+        sweep.trace.modexp_multiplier_calls: Int(1, 2 * MAX_TRACE_BITS),
+    // A Toffoli needs three operands.
+    "sweep.trace.random_qubits" => sweep.trace.random_qubits: Int(3, 4 * MAX_TRACE_BITS),
+    "sweep.trace.random_ops" => sweep.trace.random_ops: Int(1, MAX_TRACE_OPS),
+    "sweep.trace.scaling_adder_bits" => sweep.trace.scaling_adder_bits: Int(1, MAX_TRACE_BITS),
+    "sweep.trace.scaling_modexp_bits" => sweep.trace.scaling_modexp_bits: Int(4, MAX_TRACE_BITS),
+    "sweep.fault.severities" => sweep.fault.severities: Prob,
+    "sweep.fault.degraded_edge_fraction" => sweep.fault.degraded_edge_fraction: Fraction,
+    "sweep.fault.onset_windows" => sweep.fault.onset_windows: Int(0, MAX_WINDOWS),
+    "sweep.fault.duration_windows" => sweep.fault.duration_windows: Int(1, MAX_WINDOWS),
+    "sweep.fault.factory_loss" => sweep.fault.factory_loss: Prob,
+    "sweep.fault.traffic_offered_load" => sweep.fault.traffic_offered_load: Load,
+    "sweep.fault.matrix_offered_load" => sweep.fault.matrix_offered_load: Load,
+    "sweep.fault.hotspot_fraction" => sweep.fault.hotspot_fraction: Fraction,
+    // Each tenant needs its own mesh row; `validate` narrows this to the
+    // machine's interior rows.
+    "sweep.fault.tenants" => sweep.fault.tenants: Int(1, MAX_LOGICAL_QUBITS),
+    "sweep.fault.tenant_quota" => sweep.fault.tenant_quota: Int(1, MAX_BATCH),
+    "sweep.fault.quota_skews" => sweep.fault.quota_skews: AtLeast(1.0),
+    "sweep.obs.detail" => sweep.obs.detail: Parsed,
+    "sweep.obs.sample_every" => sweep.obs.sample_every: Int(1, MAX_SAMPLE_EVERY),
+}
+
+/// The values a spec field accepts: the range on its [`spec_fields!`] row,
+/// described by its `Display`. A list must be non-empty, and each of its
+/// entries must lie in the range.
+#[derive(Debug, Clone, Copy)]
+enum Range {
+    Prob,
+    Positive,
+    Fraction,
+    Open,
+    Load,
+    AtLeast(f64),
+    Int(usize, usize),
+    /// The parser trims values, so padding would not survive a round trip.
+    Text,
+    Name,
+    /// The field's type holds only values the parser accepts.
+    Parsed,
+}
+
+impl Range {
+    fn admits(self, v: f64) -> bool {
+        v.is_finite()
+            && match self {
+                Range::Prob => (0.0..=1.0).contains(&v),
+                Range::Positive => v > 0.0,
+                Range::Fraction => v > 0.0 && v <= 1.0,
+                Range::Open => v > 0.0 && v < 1.0,
+                Range::Load => v > 0.0 && v <= MAX_OFFERED_LOAD,
+                Range::AtLeast(min) => v >= min,
+                _ => false,
+            }
+    }
+
+    fn admits_int(self, v: usize) -> bool {
+        matches!(self, Range::Int(lo, hi) if (lo..=hi).contains(&v))
+    }
+
+    fn admits_text(self, text: &str) -> bool {
+        let line = !text.contains(['\n', '#']) && text.trim() == text;
+        match self {
+            Range::Text => line,
+            Range::Name => line && !text.is_empty(),
+            _ => false,
+        }
+    }
+}
+
+impl core::fmt::Display for Range {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            Range::Prob => write!(f, "a probability in [0, 1]"),
+            Range::Positive => write!(f, "a finite positive number"),
+            Range::Fraction => write!(f, "a fraction in (0, 1]"),
+            Range::Open => write!(f, "a number in (0, 1)"),
+            Range::Load => write!(
+                f,
+                "a positive load of at most {MAX_OFFERED_LOAD} per window"
+            ),
+            Range::AtLeast(min) => write!(f, "a finite number of at least {min}"),
+            Range::Int(lo, hi) => write!(f, "an integer in {lo}..={hi}"),
+            Range::Text => write!(f, "a line without '#' or surrounding whitespace"),
+            Range::Name => write!(f, "a non-empty line without '#' or surrounding whitespace"),
+            Range::Parsed => write!(f, "a value the parser accepts"),
+        }
+    }
 }
 
 /// A field type of the spec text format.
@@ -1016,6 +860,8 @@ trait SpecValue: Sized {
     const EXPECTED: &'static str;
     fn parse(text: &str) -> Option<Self>;
     fn render(&self, out: &mut String);
+    /// Whether the value lies in `range`.
+    fn admits(&self, range: Range) -> bool;
 
     fn render_line(&self, key: &str, out: &mut String) {
         out.push_str(key);
@@ -1027,11 +873,20 @@ trait SpecValue: Sized {
     fn take(fields: &mut KeyValues<'_>, key: &'static str) -> Result<Self, KvError<'static>> {
         fields.value(key, Self::EXPECTED, Self::parse)
     }
+
+    /// Check the value of `key` against the range on its row.
+    fn check(&self, key: &str, range: Range) -> Result<(), SpecError> {
+        if self.admits(range) {
+            Ok(())
+        } else {
+            Err(out_of_range(key, range, self))
+        }
+    }
 }
 
-/// Implements [`SpecValue`] for each `type => expected, parse, render;`.
+/// Implements [`SpecValue`] for each `type => expected, parse, render, admits;`.
 macro_rules! spec_values {
-    ($($t:ty => $expected:expr, $parse:expr, $render:expr;)+) => {$(
+    ($($t:ty => $expected:expr, $parse:expr, $render:expr, $admits:expr;)+) => {$(
         impl SpecValue for $t {
             const EXPECTED: &'static str = $expected;
             fn parse(text: &str) -> Option<Self> {
@@ -1039,6 +894,9 @@ macro_rules! spec_values {
             }
             fn render(&self, out: &mut String) {
                 $render(self, out);
+            }
+            fn admits(&self, range: Range) -> bool {
+                $admits(self, range)
             }
         }
     )+};
@@ -1048,26 +906,69 @@ macro_rules! spec_values {
 // same bits, and never uses exponent notation. Times are written in
 // microseconds.
 spec_values! {
-    String => "a line of text", |text: &str| Some(text.to_owned()), push_display;
-    usize => "a non-negative integer", |text: &str| text.parse().ok(), push_display;
-    u32 => "a non-negative integer", |text: &str| text.parse().ok(), push_display;
+    String => "a line of text", |text: &str| Some(text.to_owned()), push_display,
+        |text: &String, range: Range| range.admits_text(text);
+    usize => "a non-negative integer", |text: &str| text.parse().ok(), push_display,
+        |v: &usize, range: Range| range.admits_int(*v);
+    u32 => "a non-negative integer", |text: &str| text.parse().ok(), push_display,
+        |v: &u32, range: Range| usize::try_from(*v).is_ok_and(|v| range.admits_int(v));
     f64 => "a finite number",
-        |text: &str| text.parse().ok().filter(|v: &f64| v.is_finite()), push_display;
+        |text: &str| text.parse().ok().filter(|v: &f64| v.is_finite()), push_display,
+        |v: &f64, range: Range| range.admits(*v);
     Time => f64::EXPECTED,
         |text| f64::parse(text).map(Time::from_micros),
-        |time: &Time, out| push_display(&time.as_micros(), out);
+        |time: &Time, out| push_display(&time.as_micros(), out),
+        |time: &Time, range: Range| range.admits(time.as_micros());
     EccMode => "`paper` or `structural`",
         |text| match text {
             "paper" => Some(EccMode::Paper),
             "structural" => Some(EccMode::Structural),
             _ => None,
         },
-        push_display;
+        push_display,
+        |_, range| matches!(range, Range::Parsed);
     ObsDetail => "`full` or `light`",
         ObsDetail::from_token,
-        |detail: &ObsDetail, out: &mut String| out.push_str(detail.token());
-    Vec<f64> => "a comma-separated list of finite numbers", parse_list, render_list;
-    Vec<usize> => "a comma-separated list of non-negative integers", parse_list, render_list;
+        |detail: &ObsDetail, out: &mut String| out.push_str(detail.token()),
+        |_, range| matches!(range, Range::Parsed);
+}
+
+/// Implements [`SpecValue`] for comma-separated lists of each
+/// `entry type => expected;`.
+macro_rules! list_values {
+    ($($t:ty => $expected:expr;)+) => {$(
+        impl SpecValue for Vec<$t> {
+            const EXPECTED: &'static str = $expected;
+            fn parse(text: &str) -> Option<Self> {
+                text.split(',').map(|item| <$t>::parse(item.trim())).collect()
+            }
+            fn render(&self, out: &mut String) {
+                for (i, item) in self.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    item.render(out);
+                }
+            }
+            fn admits(&self, range: Range) -> bool {
+                !self.is_empty() && self.iter().all(|item| item.admits(range))
+            }
+            fn check(&self, key: &str, range: Range) -> Result<(), SpecError> {
+                if self.admits(range) {
+                    return Ok(());
+                }
+                Err(match self.iter().find(|item| !item.admits(range)) {
+                    Some(item) => out_of_range(&format!("{key} entries"), range, item),
+                    None => SpecError::Invalid(format!("{key} must list at least one entry")),
+                })
+            }
+        }
+    )+};
+}
+
+list_values! {
+    f64 => "a comma-separated list of finite numbers";
+    usize => "a comma-separated list of non-negative integers";
 }
 
 fn push_display(value: &impl core::fmt::Display, out: &mut String) {
@@ -1075,17 +976,14 @@ fn push_display(value: &impl core::fmt::Display, out: &mut String) {
     write!(out, "{value}").expect("writing to a String cannot fail");
 }
 
-fn parse_list<T: SpecValue>(text: &str) -> Option<Vec<T>> {
-    text.split(',').map(|item| T::parse(item.trim())).collect()
-}
-
-fn render_list<T: SpecValue>(items: &[T], out: &mut String) {
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        item.render(out);
-    }
+/// The error for `value` of `key` lying outside `range`.
+fn out_of_range(key: &str, range: Range, value: &impl SpecValue) -> SpecError {
+    let mut got = String::new();
+    value.render(&mut got);
+    SpecError::Invalid(format!(
+        "{key} must be {range}, got '{}'",
+        got.escape_debug()
+    ))
 }
 
 /// Why a spec failed to parse or validate.
@@ -1501,6 +1399,67 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("whitespace"));
+    }
+
+    /// `expected` rendered with `key` set to `value`.
+    fn expected_with(key: &str, value: &str) -> String {
+        MachineSpec::expected()
+            .render()
+            .lines()
+            .map(|line| match line.split_once(" = ") {
+                Some((k, _)) if k == key => format!("{key} = {value}\n"),
+                _ => format!("{line}\n"),
+            })
+            .collect()
+    }
+
+    /// Each of these once passed `validate` and then crashed a run:
+    /// allocation failures, `SimTime` overflow, `capacity overflow`, and
+    /// more tenants than the mesh has interior rows.
+    #[test]
+    fn specs_that_crashed_runs_fail_validation_naming_the_key() {
+        const MAX: &str = "18446744073709551615";
+        for (key, value) in [
+            ("logical_qubits", "4000000000000"),
+            ("sweep.distance_max_cells", MAX),
+            ("sweep.sim.warmup_windows", MAX),
+            ("sweep.fault.onset_windows", MAX),
+            ("sweep.sim.contended_requests", MAX),
+            ("sweep.fault.tenant_quota", MAX),
+            ("sweep.fault.tenants", "10"),
+        ] {
+            let spec = MachineSpec::parse(&expected_with(key, value)).expect(key);
+            let err = spec.validate().expect_err(key).to_string();
+            assert!(err.contains(key), "{key}: {err}");
+        }
+        // The expected 400-qubit floorplan is 37x11: nine interior rows.
+        let spec = MachineSpec::parse(&expected_with("sweep.fault.tenants", "9")).unwrap();
+        spec.validate().expect("one tenant per interior row");
+    }
+
+    /// Every integer key, and every entry of an integer list, has a finite
+    /// upper bound: its type's maximum fails validation naming the key.
+    #[test]
+    fn every_integer_key_rejects_its_types_maximum() {
+        let mut integer_keys = 0;
+        for line in MachineSpec::expected().render().lines().skip(1) {
+            let (key, _) = line.split_once(" = ").expect("key = value");
+            let is_integer = matches!(
+                MachineSpec::parse(&expected_with(key, "0.5")),
+                Err(SpecError::BadValue { expected, .. }) if expected.contains("integer")
+            );
+            if !is_integer {
+                continue;
+            }
+            integer_keys += 1;
+            let spec = [usize::MAX.to_string(), u32::MAX.to_string()]
+                .iter()
+                .find_map(|max| MachineSpec::parse(&expected_with(key, max)).ok())
+                .unwrap_or_else(|| panic!("{key}: no integer maximum parses"));
+            let err = spec.validate().expect_err(key).to_string();
+            assert!(err.contains(key), "{key}: {err}");
+        }
+        assert_eq!(integer_keys, 26, "integer keys of the table");
     }
 
     #[test]

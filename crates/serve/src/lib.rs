@@ -21,7 +21,8 @@
 //! ← {"status":"ok","shutdown":true}
 //! ```
 //!
-//! Errors are typed: `bad-request`, `unknown-experiment`, `overloaded`.
+//! Errors are typed: `bad-request`, `unknown-experiment`, `overloaded`,
+//! `evaluation-failed`.
 //!
 //! # Caching
 //!

@@ -26,6 +26,8 @@ use crate::stats::{ServiceStats, StatsSnapshot};
 use qla_core::{content_hash, DynExperiment, Executor, ExperimentContext, LruCache};
 use qla_obs::Recorder;
 use qla_report::{json_escape, Format, Report};
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
@@ -219,14 +221,23 @@ impl Service {
                     served
                 } else {
                     let clock = self.config.clock;
-                    let ((report, rendered), service_ns) =
+                    // Evaluation touches no service state (the cache lock is
+                    // not held), so a panic leaves nothing half-updated: the
+                    // request is answered with an error and its slot freed.
+                    let evaluated = panic::catch_unwind(AssertUnwindSafe(|| {
                         clock.time(clock.miss_cost_ns(trials), || {
                             let report =
                                 self.evaluate(&req, trials, Executor::from_jobs(self.config.jobs));
                             let rendered = report.render(req.format);
                             (report, rendered)
-                        });
-                    self.finish_miss(&req, key, canonical, report, rendered, service_ns)
+                        })
+                    }));
+                    match evaluated {
+                        Ok(((report, rendered), service_ns)) => {
+                            self.finish_miss(&req, key, canonical, report, rendered, service_ns)
+                        }
+                        Err(payload) => self.failed(&req, payload.as_ref()),
+                    }
                 }
             }
         };
@@ -504,6 +515,24 @@ impl Service {
         }
     }
 
+    /// Account and build the error for an evaluation that panicked.
+    fn failed(&self, req: &RunRequest, payload: &(dyn Any + Send)) -> ServedRequest {
+        self.stats.errors.fetch_add(1, Ordering::SeqCst);
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("no message");
+        ServedRequest {
+            response: error_response(
+                "evaluation-failed",
+                &format!("experiment \"{}\" panicked: {message}", req.experiment),
+            ),
+            outcome: Outcome::Error,
+            service_ns: 0,
+        }
+    }
+
     /// Account and build an `overloaded` rejection.
     fn shed(&self, req: &RunRequest) -> ServedRequest {
         self.stats.shed.fetch_add(1, Ordering::SeqCst);
@@ -583,8 +612,34 @@ mod tests {
         }
     }
 
+    /// A toy experiment whose evaluation always panics.
+    struct Boom;
+
+    impl Experiment for Boom {
+        type Output = ();
+        fn name(&self) -> &'static str {
+            "boom"
+        }
+        fn title(&self) -> &'static str {
+            "Boom"
+        }
+        fn description(&self) -> &'static str {
+            "panics"
+        }
+        fn run(&self, _ctx: &ExperimentContext) {
+            panic!("boom went the experiment");
+        }
+        fn report(&self, _ctx: &ExperimentContext, _output: &()) -> Report {
+            Report::new("boom", "Boom")
+        }
+    }
+
     fn lookup() -> ExperimentLookup {
-        Box::new(|name| (name == "echo").then(|| Box::new(Echo) as Box<dyn DynExperiment>))
+        Box::new(|name| match name {
+            "echo" => Some(Box::new(Echo) as Box<dyn DynExperiment>),
+            "boom" => Some(Box::new(Boom) as Box<dyn DynExperiment>),
+            _ => None,
+        })
     }
 
     fn service(config: ServeConfig) -> Service {
@@ -653,6 +708,29 @@ mod tests {
         let bye = svc.handle_line(r#"{"cmd": "shutdown"}"#);
         assert!(bye.shutdown);
         assert_eq!(bye.body, "{\"status\":\"ok\",\"shutdown\":true}");
+    }
+
+    #[test]
+    fn a_panicking_evaluation_frees_its_slot_and_answers_with_an_error() {
+        let svc = service(ServeConfig {
+            max_in_flight: 1,
+            ..ServeConfig::default()
+        });
+        for _ in 0..2 {
+            let failed = svc.handle_line(r#"{"experiment": "boom"}"#);
+            assert!(
+                failed.body.contains("\"error\":\"evaluation-failed\""),
+                "{}",
+                failed.body
+            );
+            assert!(failed.body.contains("boom went the experiment"));
+            assert!(!failed.shutdown);
+            assert_eq!(svc.stats().in_flight, 0);
+        }
+        let next = svc.handle_line(r#"{"experiment": "echo"}"#);
+        assert!(next.body.starts_with("{\"status\":\"ok\""), "{}", next.body);
+        let snap = svc.stats();
+        assert_eq!((snap.errors, snap.misses, snap.in_flight), (2, 1, 0));
     }
 
     #[test]
