@@ -397,8 +397,10 @@ fn write_trace_files(dir: &Path, name: &str, logs: &[EventLog]) -> Result<(), St
 }
 
 /// The recorded metrics table as a normal byte-pinned report
-/// (`<experiment>-metrics`), rendered and written like any other.
-fn metrics_report(name: &str, logs: &[EventLog]) -> Report {
+/// (`<experiment>-metrics`), rendered and written like any other: what
+/// `--metrics` emits.
+#[must_use]
+pub fn metrics_report(name: &str, logs: &[EventLog]) -> Report {
     let mut r = Report::new(
         format!("{name}-metrics"),
         format!("Recorded metrics — {name}"),
