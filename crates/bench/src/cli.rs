@@ -23,10 +23,12 @@
 use crate::experiments::trace_replay;
 use crate::registry;
 use qla_core::{DynExperiment, Executor, ExperimentContext, MachineSpec};
-use qla_obs::export::{chrome_trace, text_timeline};
+use qla_obs::export::{write_chrome_trace, write_text_timeline};
 use qla_obs::{metrics_rows, EventLog};
 use qla_report::{row, Column, Format, Report};
 use qla_trace::Trace;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 
@@ -378,18 +380,24 @@ fn run_one(
 
 /// Write `<dir>/<name>.trace.json` (Chrome/Perfetto `trace.json`) and
 /// `<dir>/<name>.timeline.txt` (the deterministic text timeline) from the
-/// run's recorded logs.
+/// run's recorded logs, each streamed through a buffered file writer.
 ///
 /// # Errors
 /// Returns a message when the directory or either file cannot be written.
 fn write_trace_files(dir: &Path, name: &str, logs: &[EventLog]) -> Result<(), String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    for (suffix, rendered) in [
-        ("trace.json", chrome_trace(logs)),
-        ("timeline.txt", text_timeline(logs)),
+    type Writer = fn(&[EventLog], &mut BufWriter<File>) -> io::Result<()>;
+    for (suffix, write) in [
+        ("trace.json", write_chrome_trace as Writer),
+        ("timeline.txt", write_text_timeline),
     ] {
         let path = dir.join(format!("{name}.{suffix}"));
-        std::fs::write(&path, rendered)
+        File::create(&path)
+            .map(BufWriter::new)
+            .and_then(|mut out| {
+                write(logs, &mut out)?;
+                out.flush()
+            })
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         eprintln!("wrote {}", path.display());
     }

@@ -1,9 +1,10 @@
-//! `qla-bench serve --once` fed inline specs that each once passed
-//! validation and then crashed a run (allocation failure, `SimTime`
-//! overflow, `capacity overflow`, more tenants than mesh rows). Run as a
-//! subprocess so that an abort fails the test instead of ending it: every
-//! request must come back as a `bad-request` line naming its key, and the
-//! server must go on to answer `stats` and exit cleanly.
+//! `qla-bench serve --once` fed hostile request lines: inline specs that
+//! each once passed validation and then crashed a run (allocation failure,
+//! `SimTime` overflow, `capacity overflow`, more tenants than mesh rows),
+//! and JSON nested deep enough to overflow a recursive parser's stack. Run
+//! as a subprocess so that an abort fails the test instead of ending it:
+//! every request must come back as a `bad-request` line, and the server
+//! must go on to answer `stats` and exit cleanly.
 
 use qla_core::MachineSpec;
 use std::io::Write;
@@ -39,17 +40,9 @@ fn inline_spec(key: &str, value: &str) -> String {
     qla_report::json_escape(&text)
 }
 
-#[test]
-fn hostile_specs_are_refused_and_the_server_keeps_serving() {
-    let mut input = String::new();
-    for (experiment, key, value) in CASES {
-        input.push_str(&format!(
-            "{{\"experiment\": \"{experiment}\", \"spec\": {}, \"trials\": 10}}\n",
-            inline_spec(key, value)
-        ));
-    }
-    input.push_str("{\"cmd\": \"stats\"}\n");
-
+/// Feed `input` to `qla-bench serve --once`; require exit code 0 and
+/// return its stdout.
+fn serve_once(input: &str) -> String {
     let mut child = Command::new(env!("CARGO_BIN_EXE_qla-bench"))
         .args(["serve", "--once"])
         .stdin(Stdio::piped())
@@ -64,10 +57,23 @@ fn hostile_specs_are_refused_and_the_server_keeps_serving() {
         .write_all(input.as_bytes())
         .expect("write requests");
     let out = child.wait_with_output().expect("serve --once exits");
-    let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "stderr:\n{stderr}");
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
 
+#[test]
+fn hostile_specs_are_refused_and_the_server_keeps_serving() {
+    let mut input = String::new();
+    for (experiment, key, value) in CASES {
+        input.push_str(&format!(
+            "{{\"experiment\": \"{experiment}\", \"spec\": {}, \"trials\": 10}}\n",
+            inline_spec(key, value)
+        ));
+    }
+    input.push_str("{\"cmd\": \"stats\"}\n");
+
+    let stdout = serve_once(&input);
     let lines: Vec<&str> = stdout.lines().collect();
     assert_eq!(lines.len(), CASES.len() + 1, "{stdout}");
     for ((_, key, _), line) in CASES.iter().zip(&lines) {
@@ -80,4 +86,19 @@ fn hostile_specs_are_refused_and_the_server_keeps_serving() {
         "{stats}"
     );
     assert!(stats.contains("\"errors\":7"), "{stats}");
+}
+
+#[test]
+fn deeply_nested_json_is_refused_and_the_server_keeps_serving() {
+    let input = format!("{}\n{{\"cmd\": \"stats\"}}\n", "[".repeat(200_000));
+    let stdout = serve_once(&input);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "{stdout}");
+    assert!(
+        lines[0].contains("\"error\":\"bad-request\""),
+        "{}",
+        lines[0]
+    );
+    assert!(lines[0].contains("nesting"), "{}", lines[0]);
+    assert!(lines[1].starts_with("{\"status\":\"ok\","), "{}", lines[1]);
 }

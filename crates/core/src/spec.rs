@@ -448,6 +448,10 @@ pub const MAX_WINDOWS: usize = 1_000;
 /// Coarsest counter thinning: one sample in a million.
 pub const MAX_SAMPLE_EVERY: usize = 1_000_000;
 
+/// Longest operation or stage time (µs): the Table 1 memory lifetime, 10 s. With every time row
+/// here a level-2 window is 4.5e13 ns, so `SimTime` holds 4e5 windows, 200 × the longest horizon.
+pub const MAX_TIME_US: f64 = 10_000_000.0;
+
 /// Names of the built-in profiles, in presentation order.
 pub const BUILTIN_PROFILES: [&str; 4] =
     ["expected", "current", "relaxed-failures", "relaxed-speed"];
@@ -719,15 +723,15 @@ spec_fields! {
     "bandwidth" => bandwidth: Int(1, MAX_BANDWIDTH),
     "ecc" => ecc: Parsed,
     "tech.cell_size_um" => tech.cell_size_um: Positive,
-    "tech.time.single_gate_us" => tech.times.single_gate: Positive,
-    "tech.time.double_gate_us" => tech.times.double_gate: Positive,
-    "tech.time.measure_us" => tech.times.measure: Positive,
-    "tech.time.move_per_um_us" => tech.times.move_per_um: Positive,
-    "tech.time.move_per_cell_us" => tech.times.move_per_cell: Positive,
-    "tech.time.split_us" => tech.times.split: Positive,
-    "tech.time.corner_turn_us" => tech.times.corner_turn: Positive,
-    "tech.time.cool_us" => tech.times.cool: Positive,
-    "tech.time.memory_lifetime_us" => tech.times.memory_lifetime: Positive,
+    "tech.time.single_gate_us" => tech.times.single_gate: Duration,
+    "tech.time.double_gate_us" => tech.times.double_gate: Duration,
+    "tech.time.measure_us" => tech.times.measure: Duration,
+    "tech.time.move_per_um_us" => tech.times.move_per_um: Duration,
+    "tech.time.move_per_cell_us" => tech.times.move_per_cell: Duration,
+    "tech.time.split_us" => tech.times.split: Duration,
+    "tech.time.corner_turn_us" => tech.times.corner_turn: Duration,
+    "tech.time.cool_us" => tech.times.cool: Duration,
+    "tech.time.memory_lifetime_us" => tech.times.memory_lifetime: Duration,
     "tech.fail.single_gate" => tech.failures.single_gate: Prob,
     "tech.fail.double_gate" => tech.failures.double_gate: Prob,
     "tech.fail.measure" => tech.failures.measure: Prob,
@@ -739,8 +743,8 @@ spec_fields! {
     "interconnect.local_op_error" => interconnect.local_op_error: Prob,
     "interconnect.swap_op_error" => interconnect.swap_op_error: Prob,
     "interconnect.max_final_infidelity" => interconnect.max_final_infidelity: Prob,
-    "interconnect.purification_round_time_us" => interconnect.purification_round_time: Positive,
-    "interconnect.swap_stage_time_us" => interconnect.swap_stage_time: Positive,
+    "interconnect.purification_round_time_us" => interconnect.purification_round_time: Duration,
+    "interconnect.swap_stage_time_us" => interconnect.swap_stage_time: Duration,
     "sweep.component_rates" => sweep.component_rates: Open,
     "sweep.threshold_scan_lo" => sweep.threshold_scan_lo: Positive,
     "sweep.threshold_scan_hi" => sweep.threshold_scan_hi: Positive,
@@ -794,6 +798,8 @@ spec_fields! {
 enum Range {
     Prob,
     Positive,
+    /// A time row, µs: positive and at most [`MAX_TIME_US`].
+    Duration,
     Fraction,
     Open,
     Load,
@@ -812,6 +818,7 @@ impl Range {
             && match self {
                 Range::Prob => (0.0..=1.0).contains(&v),
                 Range::Positive => v > 0.0,
+                Range::Duration => v > 0.0 && v <= MAX_TIME_US,
                 Range::Fraction => v > 0.0 && v <= 1.0,
                 Range::Open => v > 0.0 && v < 1.0,
                 Range::Load => v > 0.0 && v <= MAX_OFFERED_LOAD,
@@ -839,6 +846,7 @@ impl core::fmt::Display for Range {
         match self {
             Range::Prob => write!(f, "a probability in [0, 1]"),
             Range::Positive => write!(f, "a finite positive number"),
+            Range::Duration => write!(f, "a positive time of at most {MAX_TIME_US} µs"),
             Range::Fraction => write!(f, "a fraction in (0, 1]"),
             Range::Open => write!(f, "a number in (0, 1)"),
             Range::Load => write!(
@@ -1432,6 +1440,13 @@ mod tests {
             let err = spec.validate().expect_err(key).to_string();
             assert!(err.contains(key), "{key}: {err}");
         }
+        // Time rows feed `SimTime`; 1e20 µs overflowed it in sim-offered-load.
+        let spec = MachineSpec::parse(&expected_with("tech.time.measure_us", "1e20")).unwrap();
+        let err = spec
+            .validate()
+            .expect_err("1e20 µs measurement")
+            .to_string();
+        assert!(err.contains("tech.time.measure_us"), "{err}");
         // The expected 400-qubit floorplan is 37x11: nine interior rows.
         let spec = MachineSpec::parse(&expected_with("sweep.fault.tenants", "9")).unwrap();
         spec.validate().expect("one tenant per interior row");

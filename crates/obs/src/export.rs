@@ -1,13 +1,20 @@
 //! Exporters: Chrome/Perfetto `trace.json` and a plain-text timeline.
 //!
 //! Both renderers are pure functions of the recorded [`EventLog`]s —
-//! hand-rolled string building, fixed key order, integer-derived
-//! microsecond stamps — so the emitted bytes inherit the logs' determinism
-//! and can be `diff`ed across runs and `--jobs` counts, which is exactly
-//! what the CI determinism job does with them.
+//! hand-rolled byte writing, fixed key order, integer-derived microsecond
+//! stamps — so the emitted bytes inherit the logs' determinism and can be
+//! `diff`ed across runs and `--jobs` counts, which is exactly what the CI
+//! determinism job does with them.
+//!
+//! Each export is one pass into an [`io::Write`]: integers are formatted
+//! straight into the writer and each interned name is escaped once per
+//! log, so a caller streaming to a file never holds the rendering in
+//! memory. [`chrome_trace`] and [`text_timeline`] are the same writers
+//! aimed at a `Vec<u8>`.
 
-use crate::record::{Event, EventKind, EventLog};
+use crate::record::{EventKind, EventLog};
 use qla_report::json_escape;
+use std::io::{self, Write};
 
 /// Render logs as Chrome trace-event JSON (the format Perfetto and
 /// `chrome://tracing` load). One log = one process row (pid = slice
@@ -16,107 +23,168 @@ use qla_report::json_escape;
 /// nanosecond remainder as three fixed decimals.
 #[must_use]
 pub fn chrome_trace(logs: &[EventLog]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let mut push = |entry: String, out: &mut String| {
-        if !std::mem::take(&mut first) {
-            out.push(',');
-        }
-        out.push('\n');
-        out.push_str(&entry);
-    };
-    for (pid, log) in logs.iter().enumerate() {
-        push(
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\
-                 \"args\":{{\"name\":{}}}}}",
-                json_escape(log.label())
-            ),
-            &mut out,
-        );
-        for (tid, track) in log.tracks().iter().enumerate() {
-            push(
-                format!(
-                    "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-                     \"name\":\"thread_name\",\"args\":{{\"name\":{}}}}}",
-                    json_escape(track)
-                ),
-                &mut out,
-            );
-        }
-        for event in log.events() {
-            push(trace_event(pid, event), &mut out);
-        }
-    }
-    out.push_str("\n]}\n");
-    out
+    render(|out| write_chrome_trace(logs, out))
 }
 
-/// One event as one trace-JSON object.
-fn trace_event(pid: usize, event: &Event) -> String {
-    let tid = event.track;
-    let ts = us(event.ts_ns);
-    let name = json_escape(&event.name);
-    match event.kind {
-        EventKind::Span { dur_ns } => format!(
-            "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\
-             \"dur\":{},\"name\":{name}}}",
-            us(dur_ns)
-        ),
-        EventKind::Instant => format!(
-            "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\
-             \"s\":\"t\",\"name\":{name}}}"
-        ),
-        EventKind::Counter { value } => format!(
-            "{{\"ph\":\"C\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\
-             \"name\":{name},\"args\":{{\"value\":{value}}}}}"
-        ),
+/// Write [`chrome_trace`]'s bytes into `out`, in one pass.
+///
+/// # Errors
+/// Returns the first error `out` reports.
+pub fn write_chrome_trace(logs: &[EventLog], out: &mut impl Write) -> io::Result<()> {
+    out.write_all(b"{\"traceEvents\":[")?;
+    for (pid, log) in logs.iter().enumerate() {
+        // Every entry but the first follows a comma.
+        out.write_all(if pid == 0 { b"\n" } else { b",\n" })?;
+        out.write_all(b"{\"ph\":\"M\",\"pid\":")?;
+        write_u64(out, pid as u64)?;
+        out.write_all(b",\"name\":\"process_name\",\"args\":{\"name\":")?;
+        out.write_all(json_escape(log.label()).as_bytes())?;
+        out.write_all(b"}}")?;
+        for (tid, track) in log.tracks().iter().enumerate() {
+            out.write_all(b",\n{\"ph\":\"M\",\"pid\":")?;
+            write_u64(out, pid as u64)?;
+            out.write_all(b",\"tid\":")?;
+            write_u64(out, tid as u64)?;
+            out.write_all(b",\"name\":\"thread_name\",\"args\":{\"name\":")?;
+            out.write_all(json_escape(track).as_bytes())?;
+            out.write_all(b"}}")?;
+        }
+        let names: Vec<String> = log.names().iter().map(|n| json_escape(n)).collect();
+        for event in log.events() {
+            let phase: &[u8] = match event.kind {
+                EventKind::Span { .. } => b",\n{\"ph\":\"X\",\"pid\":",
+                EventKind::Instant => b",\n{\"ph\":\"i\",\"pid\":",
+                EventKind::Counter { .. } => b",\n{\"ph\":\"C\",\"pid\":",
+            };
+            out.write_all(phase)?;
+            write_u64(out, pid as u64)?;
+            out.write_all(b",\"tid\":")?;
+            write_u64(out, u64::from(event.track))?;
+            out.write_all(b",\"ts\":")?;
+            write_us(out, event.ts_ns)?;
+            let name = names[event.name as usize].as_bytes();
+            match event.kind {
+                EventKind::Span { dur_ns } => {
+                    out.write_all(b",\"dur\":")?;
+                    write_us(out, dur_ns)?;
+                    out.write_all(b",\"name\":")?;
+                    out.write_all(name)?;
+                    out.write_all(b"}")?;
+                }
+                EventKind::Instant => {
+                    out.write_all(b",\"s\":\"t\",\"name\":")?;
+                    out.write_all(name)?;
+                    out.write_all(b"}")?;
+                }
+                EventKind::Counter { value } => {
+                    out.write_all(b",\"name\":")?;
+                    out.write_all(name)?;
+                    out.write_all(b",\"args\":{\"value\":")?;
+                    write_u64(out, value)?;
+                    out.write_all(b"}}")?;
+                }
+            }
+        }
     }
+    out.write_all(b"\n]}\n")
 }
 
 /// Render logs as a deterministic plain-text timeline: one section per
 /// log, events ordered by (timestamp, record order), one line each.
 #[must_use]
 pub fn text_timeline(logs: &[EventLog]) -> String {
-    let mut out = format!(
-        "# qla-obs timeline — {} process(es), integer virtual-time stamps\n",
+    render(|out| write_text_timeline(logs, out))
+}
+
+/// Write [`text_timeline`]'s bytes into `out`, in one pass per log.
+///
+/// # Errors
+/// Returns the first error `out` reports.
+pub fn write_text_timeline(logs: &[EventLog], out: &mut impl Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "# qla-obs timeline — {} process(es), integer virtual-time stamps",
         logs.len()
-    );
+    )?;
     for log in logs {
-        out.push_str(&format!(
-            "== {} ({} events) ==\n",
-            log.label(),
-            log.events().len()
-        ));
-        let mut order: Vec<usize> = (0..log.events().len()).collect();
-        order.sort_by_key(|&i| (log.events()[i].ts_ns, i));
+        let events = log.events();
+        writeln!(out, "== {} ({} events) ==", log.label(), events.len())?;
+        // A stable sort by timestamp keeps record order among ties.
+        let mut order: Vec<u32> = (0..events.len())
+            .map(|i| u32::try_from(i).expect("fewer than 2^32 events per log"))
+            .collect();
+        order.sort_by_key(|&i| events[i as usize].ts_ns);
         for i in order {
-            let e = &log.events()[i];
-            let track = &log.tracks()[e.track as usize];
+            let e = &events[i as usize];
+            let mut digits = [b' '; 20];
+            let len = digits.len();
+            let start = format_u64(&mut digits, e.ts_ns);
+            out.write_all(b"[")?;
+            out.write_all(&digits[start.min(len - 12)..])?;
+            out.write_all(match e.kind {
+                EventKind::Span { .. } => b" ns] span    ",
+                EventKind::Instant => b" ns] instant ",
+                EventKind::Counter { .. } => b" ns] counter ",
+            })?;
+            out.write_all(log.tracks()[e.track as usize].as_bytes())?;
+            out.write_all(b" ")?;
+            out.write_all(log.name(e).as_bytes())?;
             match e.kind {
-                EventKind::Span { dur_ns } => out.push_str(&format!(
-                    "[{:>12} ns] span    {track} {} dur={dur_ns}\n",
-                    e.ts_ns, e.name
-                )),
-                EventKind::Instant => out.push_str(&format!(
-                    "[{:>12} ns] instant {track} {}\n",
-                    e.ts_ns, e.name
-                )),
-                EventKind::Counter { value } => out.push_str(&format!(
-                    "[{:>12} ns] counter {track} {} = {value}\n",
-                    e.ts_ns, e.name
-                )),
+                EventKind::Span { dur_ns } => {
+                    out.write_all(b" dur=")?;
+                    write_u64(out, dur_ns)?;
+                }
+                EventKind::Instant => {}
+                EventKind::Counter { value } => {
+                    out.write_all(b" = ")?;
+                    write_u64(out, value)?;
+                }
             }
+            out.write_all(b"\n")?;
         }
     }
-    out
+    Ok(())
+}
+
+/// Run a writer into memory; the writers emit only UTF-8.
+fn render(write: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
+    let mut out = Vec::new();
+    write(&mut out).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("exports are UTF-8")
+}
+
+/// Right-align the decimal digits of `n` in `buf`; returns where they
+/// start.
+fn format_u64(buf: &mut [u8; 20], mut n: u64) -> usize {
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            return start;
+        }
+    }
+}
+
+fn write_u64(out: &mut impl Write, n: u64) -> io::Result<()> {
+    let mut buf = [0; 20];
+    let start = format_u64(&mut buf, n);
+    out.write_all(&buf[start..])
 }
 
 /// Microseconds with the nanosecond remainder as three fixed decimals
 /// (`1234567` ns → `1234.567`). Integer arithmetic only: the rendering is
 /// exact and byte-stable.
-fn us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
+fn write_us(out: &mut impl Write, ns: u64) -> io::Result<()> {
+    write_u64(out, ns / 1_000)?;
+    let frac = ns % 1_000;
+    out.write_all(&[
+        b'.',
+        b'0' + (frac / 100) as u8,
+        b'0' + (frac / 10 % 10) as u8,
+        b'0' + (frac % 10) as u8,
+    ])
 }
 
 #[cfg(test)]
@@ -169,6 +237,50 @@ mod tests {
     }
 
     #[test]
+    fn timeline_keeps_record_order_among_ties_with_out_of_order_spans() {
+        // The sim records a sojourn span at its item's arrival time once
+        // the item completes, so spans land behind later stamps.
+        let mut log = EventLog::for_point(ObsConfig::full(), "p");
+        log.instant("admission", "admit", 100);
+        log.span("channel", "edge-0", 200, 50);
+        log.span("item", "sojourn", 100, 150);
+        log.instant("admission", "admit", 100);
+        log.span("item", "sojourn", 0, 250);
+        let text = text_timeline(std::slice::from_ref(&log));
+        let lines: Vec<&str> = text.lines().skip(2).collect();
+        assert_eq!(
+            lines,
+            [
+                "[           0 ns] span    item sojourn dur=250",
+                "[         100 ns] instant admission admit",
+                "[         100 ns] span    item sojourn dur=150",
+                "[         100 ns] instant admission admit",
+                "[         200 ns] span    channel edge-0 dur=50",
+            ]
+        );
+    }
+
+    #[test]
+    fn writers_equal_the_string_renderings() {
+        let mut second = demo_log();
+        second.set_label("other");
+        second.counter("edge-0-1", "queue", 1_234_567_890_123_456, u64::MAX);
+        let logs = [demo_log(), second];
+        let mut chrome = Vec::new();
+        write_chrome_trace(&logs, &mut chrome).unwrap();
+        assert_eq!(chrome, chrome_trace(&logs).into_bytes());
+        let mut timeline = Vec::new();
+        write_text_timeline(&logs, &mut timeline).unwrap();
+        assert_eq!(timeline, text_timeline(&logs).into_bytes());
+        let timeline = String::from_utf8(timeline).unwrap();
+        assert!(timeline
+            .contains("[1234567890123456 ns] counter edge-0-1 queue = 18446744073709551615\n"));
+        let chrome = String::from_utf8(chrome).unwrap();
+        assert!(chrome.contains("\"ts\":1234567890123.456,"));
+        assert!(chrome.contains("\"args\":{\"value\":18446744073709551615}"));
+    }
+
+    #[test]
     fn exports_are_deterministic() {
         let logs = [demo_log()];
         assert_eq!(chrome_trace(&logs), chrome_trace(&logs));
@@ -178,9 +290,18 @@ mod tests {
     #[test]
     fn names_are_escaped() {
         let mut log = EventLog::for_point(ObsConfig::full(), "a\"b");
-        log.instant("t", "x\\y", 0);
+        log.instant("t\tu", "x\\y", 0);
+        log.span("t\tu", "x\\y", 1, 2);
+        log.counter("t\tu", "q\"\n", 3, 4);
         let trace = chrome_trace(std::slice::from_ref(&log));
         assert!(trace.contains("a\\\"b"));
-        assert!(trace.contains("x\\\\y"));
+        assert!(trace.contains("\"args\":{\"name\":\"t\\tu\"}"));
+        assert_eq!(trace.matches("\"name\":\"x\\\\y\"}").count(), 2);
+        assert!(trace.contains("\"name\":\"q\\\"\\n\",\"args\""));
+        // The timeline prints names verbatim.
+        let timeline = text_timeline(std::slice::from_ref(&log));
+        assert!(timeline.contains("== a\"b (3 events) =="));
+        assert!(timeline.contains("instant t\tu x\\y\n"));
+        assert!(timeline.contains("counter t\tu q\"\n = 4\n"));
     }
 }

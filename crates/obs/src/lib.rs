@@ -14,17 +14,23 @@
 //!
 //! - [`Recorder`]: the instrumentation trait the engine and service write
 //!   against. [`Noop`] is the always-off implementation; call sites gate on
-//!   [`Recorder::enabled`] so that recording off costs one branch and no
-//!   allocations (pinned by the `obs_recording` criterion bench).
+//!   [`Recorder::enabled`] so that recording off costs one branch per site
+//!   and builds no names. The `obs_recording` criterion bench times the
+//!   off, light and full modes side by side; it does not count
+//!   allocations.
 //! - [`EventLog`]: the structured in-memory implementation — spans,
 //!   instants, and counter samples on named tracks, with a detail level and
 //!   counter sampling stride from [`ObsConfig`] (the `sweep.obs.*` spec
-//!   section).
-//! - Exporters: [`export::chrome_trace`] renders logs as a Chrome/Perfetto
-//!   `trace.json` (load it at <https://ui.perfetto.dev>), and
-//!   [`export::text_timeline`] as a deterministic plain-text timeline;
-//!   [`metrics::metrics_rows`] folds logs into a counter + nearest-rank
-//!   histogram table for report rendering.
+//!   section). Track and event names are interned into `u32` ids in
+//!   first-use order, so each [`Event`] is a small `Copy` record and a
+//!   name repeated over millions of events is stored once.
+//! - Exporters: [`export::write_chrome_trace`] writes logs as a
+//!   Chrome/Perfetto `trace.json` (load it at <https://ui.perfetto.dev>),
+//!   and [`export::write_text_timeline`] as a deterministic plain-text
+//!   timeline. Both stream into any [`std::io::Write`] in one pass;
+//!   [`export::chrome_trace`] and [`export::text_timeline`] are the same
+//!   writers aimed at memory. [`metrics::metrics_rows`] folds logs into a
+//!   counter + nearest-rank histogram table for report rendering.
 //!
 //! # Worked example
 //!
@@ -47,6 +53,14 @@
 //! assert!(trace.starts_with("{\"traceEvents\":["));
 //! let timeline = qla_obs::export::text_timeline(std::slice::from_ref(&log));
 //! assert!(timeline.contains("ancilla-prep"));
+//!
+//! // Names are interned: events carry ids, the log resolves them.
+//! assert_eq!(log.name(&log.events()[1]), "ancilla-prep");
+//!
+//! // The writers stream the same bytes into any `io::Write`.
+//! let mut file = Vec::new();
+//! qla_obs::export::write_text_timeline(std::slice::from_ref(&log), &mut file).unwrap();
+//! assert_eq!(file, timeline.as_bytes());
 //!
 //! // Recording off: the same calls are branches that record nothing.
 //! let mut off = EventLog::off();

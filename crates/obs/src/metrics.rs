@@ -9,7 +9,7 @@
 
 use crate::record::{EventKind, EventLog};
 use crate::stats::percentile_u64;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// One metrics row: either a pure event counter (instants and counter
 /// samples) or a span-duration histogram summary.
@@ -39,14 +39,31 @@ pub fn metrics_rows(logs: &[EventLog]) -> Vec<MetricsRow> {
     let mut counters: BTreeMap<String, u64> = BTreeMap::new();
     let mut histograms: BTreeMap<String, Vec<u64>> = BTreeMap::new();
     for log in logs {
+        // Fold by interned (track, name) ids; each key is formatted once
+        // per distinct pair, not once per event.
+        let mut log_counters: HashMap<(u32, u32), u64> = HashMap::new();
+        let mut log_histograms: HashMap<(u32, u32), Vec<u64>> = HashMap::new();
         for event in log.events() {
-            let key = format!("{}/{}", log.tracks()[event.track as usize], event.name);
+            let ids = (event.track, event.name);
             match event.kind {
-                EventKind::Span { dur_ns } => histograms.entry(key).or_default().push(dur_ns),
+                EventKind::Span { dur_ns } => log_histograms.entry(ids).or_default().push(dur_ns),
                 EventKind::Instant | EventKind::Counter { .. } => {
-                    *counters.entry(key).or_insert(0) += 1;
+                    *log_counters.entry(ids).or_insert(0) += 1;
                 }
             }
+        }
+        let key = |(track, name): (u32, u32)| {
+            format!(
+                "{}/{}",
+                log.tracks()[track as usize],
+                log.names()[name as usize]
+            )
+        };
+        for (ids, count) in log_counters {
+            *counters.entry(key(ids)).or_insert(0) += count;
+        }
+        for (ids, durs) in log_histograms {
+            histograms.entry(key(ids)).or_default().extend(durs);
         }
     }
     let mut rows: Vec<MetricsRow> = counters

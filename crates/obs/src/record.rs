@@ -6,8 +6,14 @@
 //! entirely. The [`EventLog`] implementation appends to plain vectors in
 //! call order — no interior mutability, no clocks — so two runs that make
 //! the same calls hold byte-identical logs.
+//!
+//! Track and event names are interned: the log stores each distinct name
+//! once and an [`Event`] holds `u32` ids into those tables, numbered in
+//! first-use order so the ids are a deterministic function of the call
+//! sequence. An event is a small `Copy` record with no heap data of its own.
 
 use serde::Serialize;
+use std::collections::HashMap;
 
 /// How much the recorder keeps. `Light` drops the high-volume per-round
 /// channel spans and queue-depth samples that dominate log size on long
@@ -89,7 +95,7 @@ impl ObsConfig {
 }
 
 /// What one recorded [`Event`] is.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// A closed interval starting at the event timestamp.
     Span {
@@ -106,16 +112,46 @@ pub enum EventKind {
 }
 
 /// One recorded event on one track.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     /// Integer virtual-time stamp, nanoseconds. Never wall-clock derived.
     pub ts_ns: u64,
-    /// Index into the owning log's track table, in first-use order.
+    /// Index into the owning log's [track table](EventLog::tracks), in
+    /// first-use order.
     pub track: u32,
-    /// Event name (span/instant name, or the counter's series name).
-    pub name: String,
+    /// Id of the event name (span/instant name, or the counter's series
+    /// name) in the owning log's [name table](EventLog::names), in
+    /// first-use order; [`EventLog::name`] resolves it.
+    pub name: u32,
     /// Span, instant, or counter sample.
     pub kind: EventKind,
+}
+
+/// Distinct strings numbered in first-use order.
+#[derive(Debug, Clone, Default)]
+struct Interner {
+    strings: Vec<String>,
+    ids: HashMap<String, u32>,
+}
+
+impl Interner {
+    /// The id of `s`, adding it on first use.
+    fn intern(&mut self, s: &str) -> u32 {
+        if let Some(&id) = self.ids.get(s) {
+            return id;
+        }
+        let id = u32::try_from(self.strings.len()).expect("fewer than 2^32 distinct names");
+        self.strings.push(s.to_owned());
+        self.ids.insert(s.to_owned(), id);
+        id
+    }
+}
+
+/// The map is a function of the string list, so the list decides equality.
+impl PartialEq for Interner {
+    fn eq(&self, other: &Self) -> bool {
+        self.strings == other.strings
+    }
 }
 
 /// The instrumentation sink. Implementations must be deterministic
@@ -157,12 +193,14 @@ impl Recorder for Noop {
 /// A structured, appendable event log. One log is one Perfetto *process*
 /// row (its [`label`](EventLog::label) is the process name); each distinct
 /// track becomes one thread row, numbered in first-use order so track ids
-/// are a deterministic function of the call sequence alone.
+/// are a deterministic function of the call sequence alone. Event names
+/// are interned the same way.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventLog {
     label: String,
     config: ObsConfig,
-    tracks: Vec<String>,
+    tracks: Interner,
+    names: Interner,
     events: Vec<Event>,
     /// Per-track counter samples seen, for the sampling stride.
     counter_seen: Vec<u64>,
@@ -176,7 +214,8 @@ impl EventLog {
         EventLog {
             label: label.into(),
             config,
-            tracks: Vec::new(),
+            tracks: Interner::default(),
+            names: Interner::default(),
             events: Vec::new(),
             counter_seen: Vec::new(),
         }
@@ -202,7 +241,19 @@ impl EventLog {
     /// Track names, in first-use order (the id space of [`Event::track`]).
     #[must_use]
     pub fn tracks(&self) -> &[String] {
-        &self.tracks
+        &self.tracks.strings
+    }
+
+    /// Event names, in first-use order (the id space of [`Event::name`]).
+    #[must_use]
+    pub fn names(&self) -> &[String] {
+        &self.names.strings
+    }
+
+    /// The name of `event`, a recorded event of this log.
+    #[must_use]
+    pub fn name(&self, event: &Event) -> &str {
+        &self.names.strings[event.name as usize]
     }
 
     /// The recorded events, in call order.
@@ -259,13 +310,15 @@ impl EventLog {
         self.span("task", &name, start, end - start);
     }
 
-    fn track_id(&mut self, track: &str) -> u32 {
-        if let Some(i) = self.tracks.iter().position(|t| t == track) {
-            return i as u32;
-        }
-        self.tracks.push(track.to_string());
-        self.counter_seen.push(0);
-        (self.tracks.len() - 1) as u32
+    /// Intern `name` and append the event to the track with id `track`.
+    fn push(&mut self, track: u32, name: &str, ts_ns: u64, kind: EventKind) {
+        let name = self.names.intern(name);
+        self.events.push(Event {
+            ts_ns,
+            track,
+            name,
+            kind,
+        });
     }
 }
 
@@ -282,44 +335,33 @@ impl Recorder for EventLog {
         if !self.config.enabled {
             return;
         }
-        let track = self.track_id(track);
-        self.events.push(Event {
-            ts_ns: start_ns,
-            track,
-            name: name.to_string(),
-            kind: EventKind::Span { dur_ns },
-        });
+        let track = self.tracks.intern(track);
+        self.push(track, name, start_ns, EventKind::Span { dur_ns });
     }
 
     fn instant(&mut self, track: &str, name: &str, ts_ns: u64) {
         if !self.config.enabled {
             return;
         }
-        let track = self.track_id(track);
-        self.events.push(Event {
-            ts_ns,
-            track,
-            name: name.to_string(),
-            kind: EventKind::Instant,
-        });
+        let track = self.tracks.intern(track);
+        self.push(track, name, ts_ns, EventKind::Instant);
     }
 
     fn counter(&mut self, track: &str, name: &str, ts_ns: u64, value: u64) {
         if !self.config.enabled {
             return;
         }
-        let track = self.track_id(track);
-        let seen = self.counter_seen[track as usize];
-        self.counter_seen[track as usize] = seen + 1;
+        let track = self.tracks.intern(track);
+        let id = track as usize;
+        if self.counter_seen.len() <= id {
+            self.counter_seen.resize(id + 1, 0);
+        }
+        let seen = self.counter_seen[id];
+        self.counter_seen[id] = seen + 1;
         if !seen.is_multiple_of(u64::from(self.config.sample_every.max(1))) {
             return;
         }
-        self.events.push(Event {
-            ts_ns,
-            track,
-            name: name.to_string(),
-            kind: EventKind::Counter { value },
-        });
+        self.push(track, name, ts_ns, EventKind::Counter { value });
     }
 }
 
@@ -351,6 +393,39 @@ mod tests {
     }
 
     #[test]
+    fn names_intern_in_first_use_order_and_are_stored_once() {
+        let mut log = EventLog::for_point(ObsConfig::full(), "p");
+        log.instant("t", "admit", 0);
+        log.span("u", "prep", 1, 2);
+        log.counter("t", "admit", 3, 4);
+        log.instant("u", "prep", 5);
+        assert_eq!(log.names(), ["admit".to_string(), "prep".to_string()]);
+        let ids: Vec<(u32, u32)> = log.events().iter().map(|e| (e.track, e.name)).collect();
+        assert_eq!(ids, [(0, 0), (1, 1), (0, 0), (1, 1)]);
+        let names: Vec<&str> = log.events().iter().map(|e| log.name(e)).collect();
+        assert_eq!(names, ["admit", "prep", "admit", "prep"]);
+    }
+
+    #[test]
+    fn events_are_small_copy_records() {
+        assert!(std::mem::size_of::<Event>() <= 32);
+    }
+
+    #[test]
+    fn counter_sampling_counts_per_track_after_other_kinds() {
+        // The counter's track is not the first one interned.
+        let mut cfg = ObsConfig::full();
+        cfg.sample_every = 2;
+        let mut log = EventLog::for_point(cfg, "p");
+        log.instant("a", "x", 0);
+        for t in 1..5 {
+            log.counter("q", "depth", t, t);
+        }
+        let kept: Vec<u64> = log.events().iter().map(|e| e.ts_ns).collect();
+        assert_eq!(kept, [0, 1, 3]);
+    }
+
+    #[test]
     fn counter_sampling_keeps_every_nth_per_track() {
         let mut cfg = ObsConfig::full();
         cfg.sample_every = 3;
@@ -369,7 +444,7 @@ mod tests {
         log.span("b", "work", 200, 50);
         log.seal_task_span();
         let last = log.events().last().unwrap();
-        assert_eq!(last.name, "point-3");
+        assert_eq!(log.name(last), "point-3");
         assert_eq!(last.ts_ns, 100);
         assert_eq!(last.kind, EventKind::Span { dur_ns: 150 });
     }

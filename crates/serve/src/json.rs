@@ -11,6 +11,11 @@
 //! Rendering the *response* side reuses `qla_report::json_escape`, so the
 //! service's output escaping is identical to the report renderer's.
 
+/// The deepest array/object nesting a request may use. Requests are flat
+/// objects, so this only has to stop a hostile line from recursing the
+/// parser off the end of its thread's stack.
+pub const MAX_NESTING: usize = 64;
+
 /// A parsed JSON value. Numbers keep their raw source text (see the module
 /// docs); object keys keep their insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,11 +39,13 @@ impl Json {
     /// is an error (a request line is exactly one value).
     ///
     /// # Errors
-    /// Returns a message naming the byte offset of the first problem.
+    /// Returns a message naming the byte offset of the first problem,
+    /// including arrays and objects nested deeper than [`MAX_NESTING`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -100,6 +107,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -128,8 +137,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -138,6 +147,21 @@ impl Parser<'_> {
             Some(b) => Err(format!("unexpected '{}' at byte {}", b as char, self.pos)),
             None => Err(format!("unexpected end of input at byte {}", self.pos)),
         }
+    }
+
+    /// Parse one array or object, refusing to open more than
+    /// [`MAX_NESTING`] levels.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_NESTING {
+            return Err(format!(
+                "nesting deeper than {MAX_NESTING} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
@@ -373,6 +397,25 @@ mod tests {
         assert!(Json::parse("{\"dup\": 1, \"dup\": 2}")
             .unwrap_err()
             .contains("duplicate key"));
+    }
+
+    #[test]
+    fn nesting_is_limited() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_NESTING)).is_ok());
+        let err = Json::parse(&nest(MAX_NESTING + 1)).unwrap_err();
+        assert!(
+            err.contains("nesting deeper than 64 levels at byte 64"),
+            "{err}"
+        );
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_NESTING + 1),
+            "}".repeat(MAX_NESTING + 1)
+        );
+        assert!(Json::parse(&objects).unwrap_err().contains("nesting"));
+        // Deep enough to overflow an unbounded recursive descent.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

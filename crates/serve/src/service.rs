@@ -831,7 +831,7 @@ mod tests {
 
         // 2 misses + 3 in-burst hits: one admit + render per accepted
         // request, with the lookup classified per outcome.
-        let named = |name: &str| log.events().iter().filter(|e| e.name == name).count();
+        let named = |name: &str| log.events().iter().filter(|e| log.name(e) == name).count();
         assert_eq!(named("admit"), 5);
         assert_eq!(named("render"), 5);
         assert_eq!(named("lookup-miss"), 2);

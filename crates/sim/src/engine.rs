@@ -475,6 +475,9 @@ struct Simulator<'a> {
     /// The observability sink. [`Noop`] on the plain entry points, so the
     /// recorded-off run is the *same code path* as the unobserved one.
     rec: &'a mut dyn Recorder,
+    /// `edge-{index}` per edge, the channel and queue sample names; built
+    /// only when the recorder keeps [`ObsDetail::Full`], empty otherwise.
+    edge_labels: Vec<String>,
 }
 
 /// Run the simulator over a stream of work items.
@@ -588,6 +591,11 @@ pub fn simulate_observed(
         busy_factory_ns: 0,
         measured_busy_factory_ns: 0,
         makespan: SimTime::ZERO,
+        edge_labels: if rec.enabled() && rec.detail() == ObsDetail::Full {
+            (0..edge_count).map(|edge| format!("edge-{edge}")).collect()
+        } else {
+            Vec::new()
+        },
         rec,
     };
     // Fault windows are known up front; emit their onset/recovery markers
@@ -870,16 +878,12 @@ impl Simulator<'_> {
             if self.rec.enabled() && self.rec.detail() == ObsDetail::Full {
                 // High-volume per-edge tracks, Full detail only: the busy
                 // round and the queue depth left behind after the drain.
-                let label = format!("edge-{edge}");
-                self.rec.span(
-                    "channel",
-                    &label,
-                    now.nanos(),
-                    self.cfg.pair_service.nanos(),
-                );
+                let label = &self.edge_labels[edge];
+                self.rec
+                    .span("channel", label, now.nanos(), self.cfg.pair_service.nanos());
                 self.rec.counter(
                     "queue",
-                    &label,
+                    label,
                     now.nanos(),
                     self.edges[edge].queue.len() as u64,
                 );
@@ -1376,7 +1380,12 @@ mod tests {
             );
         }
         // Every item admits and completes; the deferred ones show up too.
-        let named = |name: &str| full.events().iter().filter(|e| e.name == name).count();
+        let named = |name: &str| {
+            full.events()
+                .iter()
+                .filter(|e| full.name(e) == name)
+                .count()
+        };
         assert_eq!(named("admit"), items.len());
         assert_eq!(named("sojourn"), items.len());
         assert!(named("defer") > 0, "max_in_flight=2 must defer arrivals");
