@@ -12,7 +12,7 @@
 //! memory. [`chrome_trace`] and [`text_timeline`] are the same writers
 //! aimed at a `Vec<u8>`.
 
-use crate::record::{EventKind, EventLog};
+use crate::record::{Event, EventKind, EventLog};
 use qla_report::json_escape;
 use std::io::{self, Write};
 
@@ -109,12 +109,7 @@ pub fn write_text_timeline(logs: &[EventLog], out: &mut impl Write) -> io::Resul
     for log in logs {
         let events = log.events();
         writeln!(out, "== {} ({} events) ==", log.label(), events.len())?;
-        // A stable sort by timestamp keeps record order among ties.
-        let mut order: Vec<u32> = (0..events.len())
-            .map(|i| u32::try_from(i).expect("fewer than 2^32 events per log"))
-            .collect();
-        order.sort_by_key(|&i| events[i as usize].ts_ns);
-        for i in order {
+        for i in time_order(events) {
             let e = &events[i as usize];
             let mut digits = [b' '; 20];
             let len = digits.len();
@@ -144,6 +139,32 @@ pub fn write_text_timeline(logs: &[EventLog], out: &mut impl Write) -> io::Resul
         }
     }
     Ok(())
+}
+
+/// Event indices ordered by (timestamp, record index).
+///
+/// Recorders append in near-time order: the sim, for one, records a
+/// sojourn span at its item's arrival only once the item completes. The
+/// events that stay at or above the running maximum stamp go first and
+/// the stragglers after them, so the stable sort merges two runs instead
+/// of re-sorting the log. No event after a straggler can share its stamp
+/// while staying on the running maximum, so ties keep record order.
+fn time_order(events: &[Event]) -> Vec<u32> {
+    let mut order = Vec::with_capacity(events.len());
+    let mut stragglers = Vec::new();
+    let mut latest = 0;
+    for (i, event) in events.iter().enumerate() {
+        let i = u32::try_from(i).expect("fewer than 2^32 events per log");
+        if event.ts_ns >= latest {
+            latest = event.ts_ns;
+            order.push(i);
+        } else {
+            stragglers.push(i);
+        }
+    }
+    order.append(&mut stragglers);
+    order.sort_by_key(|&i| events[i as usize].ts_ns);
+    order
 }
 
 /// Run a writer into memory; the writers emit only UTF-8.
@@ -258,6 +279,29 @@ mod tests {
                 "[         200 ns] span    channel edge-0 dur=50",
             ]
         );
+    }
+
+    #[test]
+    fn time_order_equals_a_full_sort_by_stamp_then_record_index() {
+        // Few distinct stamps in a shuffled order: many ties, many
+        // stragglers, and stragglers tied with later in-order events.
+        let mut state = 2005u64;
+        let events: Vec<Event> = (0..2_000)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                Event {
+                    ts_ns: (state >> 33) % 64 + (state >> 63) * 1_000,
+                    track: 0,
+                    name: 0,
+                    kind: EventKind::Instant,
+                }
+            })
+            .collect();
+        let mut expected: Vec<u32> = (0..2_000).collect();
+        expected.sort_by_key(|&i| (events[i as usize].ts_ns, i));
+        assert_eq!(time_order(&events), expected);
     }
 
     #[test]

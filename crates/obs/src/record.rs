@@ -14,6 +14,7 @@
 
 use serde::Serialize;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// How much the recorder keeps. `Light` drops the high-volume per-round
 /// channel spans and queue-depth samples that dominate log size on long
@@ -127,11 +128,33 @@ pub struct Event {
     pub kind: EventKind,
 }
 
+/// FNV-1a: the interned names are short and chosen by the program, so a
+/// cheap hash beats the default SipHash on the per-event lookup.
+#[derive(Default)]
+struct Fnv(u64);
+
+impl Hasher for Fnv {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        let mut hash = if self.0 == 0 {
+            0xcbf2_9ce4_8422_2325
+        } else {
+            self.0
+        };
+        for &b in bytes {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self.0 = hash;
+    }
+}
+
 /// Distinct strings numbered in first-use order.
 #[derive(Debug, Clone, Default)]
 struct Interner {
     strings: Vec<String>,
-    ids: HashMap<String, u32>,
+    ids: HashMap<String, u32, BuildHasherDefault<Fnv>>,
 }
 
 impl Interner {
