@@ -130,28 +130,27 @@ pub struct Event {
 
 /// FNV-1a: the interned names are short and chosen by the program, so a
 /// cheap hash beats the default SipHash on the per-event lookup.
-#[derive(Default)]
 struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+}
 
 impl Hasher for Fnv {
     fn finish(&self) -> u64 {
         self.0
     }
     fn write(&mut self, bytes: &[u8]) {
-        let mut hash = if self.0 == 0 {
-            0xcbf2_9ce4_8422_2325
-        } else {
-            self.0
-        };
         for &b in bytes {
-            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }
-        self.0 = hash;
     }
 }
 
 /// Distinct strings numbered in first-use order.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct Interner {
     strings: Vec<String>,
     ids: HashMap<String, u32, BuildHasherDefault<Fnv>>,
@@ -167,13 +166,6 @@ impl Interner {
         self.strings.push(s.to_owned());
         self.ids.insert(s.to_owned(), id);
         id
-    }
-}
-
-/// The map is a function of the string list, so the list decides equality.
-impl PartialEq for Interner {
-    fn eq(&self, other: &Self) -> bool {
-        self.strings == other.strings
     }
 }
 
